@@ -112,6 +112,12 @@ fn market_cfg(scale: Scale, model: ModelKind, chaos: Option<ChaosConfig>) -> Mar
     }
 }
 
+/// The market half's partition heal: the midpoint of the run.
+fn market_heal_at(scale: Scale) -> SimTime {
+    let rounds = market_cfg(scale, ModelKind::Beta, None).rounds;
+    SimTime::from_micros(rounds / 2 * ROUND_SPAN.as_micros())
+}
+
 /// The market half's chaos arms: the clean reference plus the two
 /// hardest fault regimes, each with defenses off and on. (`retry: true`
 /// arms the whole defense pair — bounded retransmission *and*
@@ -211,9 +217,7 @@ pub fn e14_chaos(scale: Scale) -> Table {
     }
 
     // ---- Market half --------------------------------------------------
-    let rounds = scale.pick(10u64, 40);
-    let heal_at = SimTime::from_micros(rounds / 2 * ROUND_SPAN.as_micros());
-    let combos = market_arms(heal_at);
+    let combos = market_arms(market_heal_at(scale));
     let mut labels = Vec::new();
     let mut arms = Vec::new();
     for model in ModelKind::ALL {
@@ -369,6 +373,25 @@ mod tests {
                     model.label()
                 );
             }
+        }
+    }
+
+    /// The README quotes the paper-scale 5%-loss/bisect market arms'
+    /// recovery. Those numbers assume the retransmission queue and
+    /// retry budget never dropped a report, so the defended arms (the
+    /// only ones that retransmit) must report zero overflow.
+    #[test]
+    fn e14_quoted_market_arms_drop_no_retransmission() {
+        let (.., chaos) = market_arms(market_heal_at(Scale::Paper))
+            .into_iter()
+            .find(|&(loss, kind, defended, _)| loss == 0.05 && kind == "bisect" && defended)
+            .expect("the defended 5%-loss/bisect arm");
+        let arms: Vec<MarketConfig> = ModelKind::ALL
+            .map(|model| market_cfg(Scale::Paper, model, chaos))
+            .into();
+        for (cfg, r) in arms.iter().zip(run_arms(arms.clone())) {
+            assert!(r.witness_attempted > 0);
+            assert_eq!(r.retx_overflow, 0, "{}", cfg.model.label());
         }
     }
 }

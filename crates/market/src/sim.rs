@@ -199,6 +199,9 @@ pub struct MarketReport {
     /// Witness-report emissions that reached the target's model (first
     /// copy only; rate-capped and faulted deliveries excluded).
     pub witness_delivered: u64,
+    /// Witness retransmissions dropped because the bounded queue was
+    /// full or the retry budget ran out (0 without chaos retry).
+    pub retx_overflow: u64,
 }
 
 impl MarketReport {
@@ -371,7 +374,8 @@ pub struct MarketSim {
     /// Bounded retransmission queue for lost/blocked reports, drained
     /// on the virtual clock at each round boundary.
     retx: EventQueue<RetxEntry>,
-    /// Retransmissions dropped because the queue was full.
+    /// Retransmissions dropped because the queue was full or the
+    /// retry budget ran out.
     retx_overflow: u64,
     witness_attempted: u64,
     witness_delivered: u64,
@@ -455,6 +459,7 @@ impl MarketSim {
             final_decision_accuracy: 0.0,
             witness_attempted: 0,
             witness_delivered: 0,
+            retx_overflow: 0,
         };
         for round in 0..self.cfg.rounds {
             let stats = self.run_round(round, threads);
@@ -478,6 +483,7 @@ impl MarketSim {
         report.final_decision_accuracy = accuracy.decision_accuracy;
         report.witness_attempted = self.witness_attempted;
         report.witness_delivered = self.witness_delivered;
+        report.retx_overflow = self.retx_overflow;
         report.per_round = per_round;
         report
     }

@@ -11,7 +11,11 @@
 //!   never block writers and never touch the complaint model's
 //!   dirty-flag machinery: [`TrustEngine::publish`] seals every cached
 //!   value (via [`TrustModel::prepare_snapshot`]) before the epoch goes
-//!   live, so snapshot predicts are pure table reads.
+//!   live, so snapshot predicts are pure table reads. Each epoch also
+//!   carries one lazily materialized full row: the first
+//!   [`TrustSnapshot::predict_row_into`] of the epoch computes it, and
+//!   every later full-row read of that epoch copies it. The row lives
+//!   only in memory; it is never persisted.
 //! * **Write side** — [`TrustEngine::submit`]: feedback and witness
 //!   events accumulate in a pending delta, tagged with a caller-chosen
 //!   sequence number. [`TrustEngine::publish`] folds the delta into the
@@ -41,7 +45,7 @@
 
 use crate::model::{Conduct, PeerId, TrustEstimate, TrustModel, WitnessReport};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use trustex_persist::codec::{ByteReader, ByteWriter};
 use trustex_persist::snapshot::Persistable;
 use trustex_persist::PersistError;
@@ -146,10 +150,36 @@ impl TrustEvent {
 ///
 /// Cloning is one `Arc` bump; predictions are plain reads of the sealed
 /// model and are bit-identical to calling the model directly.
+///
+/// All clones of an epoch's snapshot share one materialized row. The
+/// first [`TrustSnapshot::predict_row_into`] of the epoch fills it at
+/// the length of its own request; later requests of at most that length
+/// copy from it, and longer ones are computed by the model. The row is
+/// never persisted: a restored engine starts its epoch with an empty
+/// one.
 #[derive(Debug, Clone)]
 pub struct TrustSnapshot<M> {
-    model: Arc<M>,
+    sealed: Arc<Sealed<M>>,
     epoch: u64,
+}
+
+/// One epoch's sealed model and its lazily filled full row.
+#[derive(Debug)]
+struct Sealed<M> {
+    model: M,
+    row: OnceLock<Box<[TrustEstimate]>>,
+}
+
+impl<M> TrustSnapshot<M> {
+    fn new(model: M, epoch: u64) -> TrustSnapshot<M> {
+        TrustSnapshot {
+            sealed: Arc::new(Sealed {
+                model,
+                row: OnceLock::new(),
+            }),
+            epoch,
+        }
+    }
 }
 
 impl<M: TrustModel> TrustSnapshot<M> {
@@ -160,18 +190,31 @@ impl<M: TrustModel> TrustSnapshot<M> {
 
     /// The sealed model behind the snapshot.
     pub fn model(&self) -> &M {
-        &self.model
+        &self.sealed.model
     }
 
     /// Predicts `subject`'s behaviour at this epoch.
     pub fn predict(&self, subject: PeerId) -> TrustEstimate {
-        self.model.predict(subject)
+        self.sealed.model.predict(subject)
     }
 
     /// Fills `out[i]` with the estimate for subject `PeerId(i)` in one
     /// sweep — bit-identical to per-subject [`TrustSnapshot::predict`].
+    ///
+    /// Served from the epoch's materialized row when it covers `out`,
+    /// which is exact because a model's `out[i]` depends only on `i`,
+    /// never on `out.len()`.
     pub fn predict_row_into(&self, out: &mut [TrustEstimate]) {
-        self.model.predict_row_into(out);
+        let model = &self.sealed.model;
+        let row = self.sealed.row.get_or_init(|| {
+            let mut row = vec![TrustEstimate::UNKNOWN; out.len()].into_boxed_slice();
+            model.predict_row_into(&mut row);
+            row
+        });
+        match row.get(..out.len()) {
+            Some(cached) => out.copy_from_slice(cached),
+            None => model.predict_row_into(out),
+        }
     }
 }
 
@@ -208,10 +251,7 @@ impl<M: TrustModel + Clone> TrustEngine<M> {
     pub fn new(model: M) -> TrustEngine<M> {
         model.prepare_snapshot();
         TrustEngine {
-            current: RwLock::new(TrustSnapshot {
-                model: Arc::new(model.clone()),
-                epoch: 0,
-            }),
+            current: RwLock::new(TrustSnapshot::new(model.clone(), 0)),
             epoch: AtomicU64::new(0),
             write: Mutex::new(WriteSide {
                 base: model,
@@ -264,9 +304,10 @@ impl<M: TrustModel + Clone> TrustEngine<M> {
     }
 
     /// Folds the pending delta into the base model in ascending `seq`
-    /// order, seals the result and swaps it in as the next epoch.
-    /// Returns the new epoch number. Outstanding snapshots keep serving
-    /// their old epoch until dropped.
+    /// order, seals the result and swaps it in as the next epoch, whose
+    /// materialized row starts empty. Returns the new epoch number.
+    /// Outstanding snapshots keep serving their old epoch, row included,
+    /// until dropped.
     pub fn publish(&self) -> u64 {
         let mut write = self.write.lock().unwrap_or_else(|e| e.into_inner());
         let mut pending = std::mem::take(&mut write.pending);
@@ -279,11 +320,8 @@ impl<M: TrustModel + Clone> TrustEngine<M> {
         // Seal cached values (e.g. the complaint median) so snapshot
         // readers never fall into a lazy recompute path.
         write.base.prepare_snapshot();
-        let next = TrustSnapshot {
-            model: Arc::new(write.base.clone()),
-            epoch: self.epoch.load(Ordering::Acquire) + 1,
-        };
-        let epoch = next.epoch;
+        let epoch = self.epoch.load(Ordering::Acquire) + 1;
+        let next = TrustSnapshot::new(write.base.clone(), epoch);
         *self.current.write().unwrap_or_else(|e| e.into_inner()) = next;
         self.epoch.store(epoch, Ordering::Release);
         epoch
@@ -292,8 +330,9 @@ impl<M: TrustModel + Clone> TrustEngine<M> {
 
 /// The engine persists as its published epoch, the base model (which
 /// carries every published event) and the pending seq-tagged delta —
-/// the full write-side state. Restoring re-seals the base and publishes
-/// it at the saved epoch, so snapshots resume exactly where the saved
+/// the full write-side state. The epoch's materialized row is not
+/// state: restoring re-seals the base and publishes it at the saved
+/// epoch with an empty row, so snapshots resume exactly where the saved
 /// engine's would, and a subsequent `publish` folds the restored delta
 /// identically to the live engine.
 impl<M: TrustModel + Clone + Persistable> Persistable for TrustEngine<M> {
@@ -322,10 +361,7 @@ impl<M: TrustModel + Clone + Persistable> Persistable for TrustEngine<M> {
         }
         base.prepare_snapshot();
         Ok(TrustEngine {
-            current: RwLock::new(TrustSnapshot {
-                model: Arc::new(base.clone()),
-                epoch,
-            }),
+            current: RwLock::new(TrustSnapshot::new(base.clone(), epoch)),
             epoch: AtomicU64::new(epoch),
             write: Mutex::new(WriteSide { base, pending }),
         })

@@ -8,15 +8,34 @@
 //! numbers) and regardless of how many snapshots readers are still
 //! holding. These tests pin that on random write/publish interleavings
 //! for all four model kinds.
+//!
+//! A second group pins the per-epoch materialized row behind
+//! `TrustSnapshot::predict_row_into` against the sealed model's own
+//! sweep, bit for bit: requests shorter than, equal to and longer than
+//! the cache-filling one, first readers racing on the pool, snapshots
+//! held across later publishes, and engines restored from bytes.
 
 use proptest::prelude::*;
+use trustex_netsim::pool::parallel_map;
+use trustex_persist::snapshot::{from_bytes, to_bytes, Persistable};
 use trustex_trust::baselines::{EwmaTrust, MeanTrust};
 use trustex_trust::beta::BetaTrust;
 use trustex_trust::complaints::ComplaintTrust;
-use trustex_trust::engine::{TrustEngine, TrustEvent};
+use trustex_trust::engine::{TrustEngine, TrustEvent, TrustSnapshot};
 use trustex_trust::model::{Conduct, PeerId, TrustEstimate, TrustModel, WitnessReport};
 
 const POP: u32 = 12;
+
+/// Longest row request in the materialized-row checks: twice the
+/// population, so rows also cover never-observed subjects.
+const ROW: usize = 2 * POP as usize;
+
+/// A slot value no model produces, so an unwritten slot fails the
+/// bit-for-bit comparison.
+const UNWRITTEN: TrustEstimate = TrustEstimate {
+    p_honest: f64::NAN,
+    confidence: f64::NAN,
+};
 
 /// One step of a random engine workout: a feedback event or a publish
 /// boundary.
@@ -181,4 +200,199 @@ proptest! {
     fn ewma_engine_matches_direct_folds(steps in steps(120)) {
         check_engine_against_reference(EwmaTrust::new(0.3), &steps);
     }
+}
+
+fn assert_bits_eq(got: &[TrustEstimate], want: &[TrustEstimate], context: &str) {
+    assert_eq!(got.len(), want.len(), "{context}: row length");
+    for (i, (g, w)) in got.iter().zip(want).enumerate() {
+        assert_eq!(
+            (g.p_honest.to_bits(), g.confidence.to_bits()),
+            (w.p_honest.to_bits(), w.confidence.to_bits()),
+            "{context}: subject {i} diverged"
+        );
+    }
+}
+
+/// The snapshot's row of length `len`, read through the engine's
+/// served path into a buffer of [`UNWRITTEN`] slots.
+fn served_row<M: TrustModel>(snap: &TrustSnapshot<M>, len: usize) -> Vec<TrustEstimate> {
+    let mut row = vec![UNWRITTEN; len];
+    snap.predict_row_into(&mut row);
+    row
+}
+
+/// The sealed model's own sweep of length `len`, bypassing the
+/// snapshot's materialized row.
+fn model_row<M: TrustModel>(snap: &TrustSnapshot<M>, len: usize) -> Vec<TrustEstimate> {
+    let mut row = vec![UNWRITTEN; len];
+    snap.model().predict_row_into(&mut row);
+    row
+}
+
+/// Reads `snap`'s row at each length in `lens`, in order, and checks
+/// each read against the sealed model. On a fresh epoch the first read
+/// fills the materialized row, so the later lengths are served from a
+/// row that is shorter than, as long as or longer than their request.
+fn assert_rows_exact<M: TrustModel>(snap: &TrustSnapshot<M>, lens: &[usize], context: &str) {
+    for &len in lens {
+        assert_bits_eq(
+            &served_row(snap, len),
+            &model_row(snap, len),
+            &format!("{context}, epoch {}, len {len}", snap.epoch()),
+        );
+    }
+}
+
+/// Checks that a restored engine's current epoch serves the live
+/// engine's rows. The restored row is filled first, at the last length
+/// in `lens`; the live one at the first, unless it was already filled.
+fn assert_restored_rows_match<M: TrustModel + Clone>(
+    live: &TrustEngine<M>,
+    restored: &TrustEngine<M>,
+    lens: &[usize],
+) {
+    let (live, back) = (live.snapshot(), restored.snapshot());
+    assert_eq!(live.epoch(), back.epoch());
+    for &len in lens.iter().rev() {
+        assert_bits_eq(
+            &served_row(&back, len),
+            &model_row(&back, len),
+            &format!("restored, epoch {}, len {len}", back.epoch()),
+        );
+    }
+    for &len in lens {
+        assert_bits_eq(
+            &served_row(&back, len),
+            &served_row(&live, len),
+            &format!("restored vs live, epoch {}, len {len}", live.epoch()),
+        );
+    }
+}
+
+/// Drives `steps` through an engine. At every publish boundary it
+/// restores a copy of the engine from its bytes (pending delta
+/// included), checks that both serve the same rows before and after
+/// both publish, and checks the new epoch's rows at every length in
+/// `lens`. Every published snapshot is held, and at the end each must
+/// still serve its own epoch's row.
+fn check_materialized_rows<M>(model: M, steps: &[Step], lens: &[usize])
+where
+    M: TrustModel + Clone + Persistable,
+{
+    let engine = TrustEngine::new(model);
+    // (snapshot, its full row when it was published).
+    let mut held = Vec::new();
+    let mut seq = 0u64;
+    for &step in steps {
+        if let Some(event) = event_of(step) {
+            engine.submit(seq, event);
+            seq += 1;
+            continue;
+        }
+        let restored: TrustEngine<M> =
+            from_bytes(&to_bytes(&engine)).expect("own snapshot must restore");
+        assert_restored_rows_match(&engine, &restored, lens);
+        assert_eq!(engine.publish(), restored.publish());
+        assert_restored_rows_match(&engine, &restored, lens);
+        let snap = engine.snapshot();
+        assert_rows_exact(&snap, lens, "published");
+        held.push((snap.clone(), model_row(&snap, ROW)));
+    }
+    for (snap, want) in &held {
+        assert_rows_exact(snap, lens, "held");
+        assert_bits_eq(
+            &served_row(snap, ROW),
+            want,
+            &format!("held epoch {}", snap.epoch()),
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn beta_snapshot_rows_are_exact(
+        steps in steps(80),
+        lens in prop::collection::vec(0..=ROW, 1..6),
+    ) {
+        check_materialized_rows(BetaTrust::with_population(POP as usize), &steps, &lens);
+    }
+
+    #[test]
+    fn complaint_snapshot_rows_are_exact(
+        steps in steps(80),
+        lens in prop::collection::vec(0..=ROW, 1..6),
+    ) {
+        check_materialized_rows(ComplaintTrust::with_population(POP as usize), &steps, &lens);
+    }
+
+    #[test]
+    fn mean_snapshot_rows_are_exact(
+        steps in steps(80),
+        lens in prop::collection::vec(0..=ROW, 1..6),
+    ) {
+        check_materialized_rows(MeanTrust::new(), &steps, &lens);
+    }
+
+    #[test]
+    fn ewma_snapshot_rows_are_exact(
+        steps in steps(80),
+        lens in prop::collection::vec(0..=ROW, 1..6),
+    ) {
+        check_materialized_rows(EwmaTrust::new(0.3), &steps, &lens);
+    }
+}
+
+/// First readers of a fresh epoch race through `parallel_map` with
+/// mixed request lengths, so which length fills the row depends on
+/// scheduling. Every reader must still get the sealed model's row.
+fn check_racing_first_readers<M>(model: M)
+where
+    M: TrustModel + Clone + Send + Sync + 'static,
+{
+    let engine = TrustEngine::new(model);
+    let mut seq = 0u64;
+    for round in 0..6u64 {
+        for i in 0..40u32 {
+            let subject = PeerId((i * 7 + round as u32) % POP);
+            let conduct = Conduct::from_honest(!(i + round as u32).is_multiple_of(3));
+            let event = if i.is_multiple_of(4) {
+                TrustEvent::Witness(WitnessReport {
+                    witness: PeerId((i + 1) % POP),
+                    subject,
+                    conduct,
+                    round,
+                })
+            } else {
+                TrustEvent::direct(subject, conduct, round)
+            };
+            engine.submit(seq, event);
+            seq += 1;
+        }
+        let lens: Vec<usize> = (0..48)
+            .map(|j| [ROW, POP as usize / 2, POP as usize, 1][(j + round as usize) % 4])
+            .collect();
+        for threads in [1, 2, 8] {
+            // Each thread count races on a new epoch, whose row is empty.
+            engine.publish();
+            let snap = engine.snapshot();
+            let rows = parallel_map(threads, lens.clone(), |_, len| served_row(&snap, len));
+            for (len, row) in lens.iter().zip(&rows) {
+                assert_bits_eq(
+                    row,
+                    &model_row(&snap, *len),
+                    &format!("threads {threads}, epoch {}, len {len}", snap.epoch()),
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn first_readers_race_to_exact_rows() {
+    check_racing_first_readers(BetaTrust::with_population(POP as usize));
+    check_racing_first_readers(ComplaintTrust::with_population(POP as usize));
+    check_racing_first_readers(MeanTrust::new());
+    check_racing_first_readers(EwmaTrust::new(0.3));
 }
