@@ -25,8 +25,8 @@ pub fn render_block(table: &Table) -> String {
 /// Serializes per-experiment wall-clock timings as the `BENCH_repro.json`
 /// document: a flat JSON object mapping experiment id → milliseconds.
 ///
-/// Hand-rolled because the workspace's vendored `serde` is a no-op stub;
-/// ids are bare `[a-z0-9]+` so no string escaping is needed.
+/// Hand-rolled so the workspace needs no JSON dependency; ids are bare
+/// `[a-z0-9]+` so no string escaping is needed.
 ///
 /// # Examples
 ///

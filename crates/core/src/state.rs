@@ -24,10 +24,9 @@
 use crate::deal::Deal;
 use crate::goods::ItemId;
 use crate::money::Money;
-use serde::{Deserialize, Serialize};
 
 /// The two exchange roles.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Role {
     /// The party delivering goods.
     Supplier,
@@ -83,7 +82,7 @@ impl std::fmt::Display for Role {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExchangeState {
     delivered: Vec<bool>,
     delivered_count: usize,

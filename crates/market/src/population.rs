@@ -5,7 +5,6 @@
 //! the witness-corroboration bookkeeping that lets the beta model grade
 //! its informants.
 
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use trustex_agents::profile::{AgentProfile, PopulationMix};
 use trustex_netsim::rng::SimRng;
@@ -18,7 +17,7 @@ use trustex_trust::model::{Conduct, PeerId, TrustEstimate, TrustModel, WitnessRe
 ///
 /// Both default to off so every existing experiment replays unchanged;
 /// experiment E11 sweeps them against the adversary zoo.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DefenseConfig {
     /// Scorer-weighted witness aggregation: every model additionally
     /// weighs (or gates) witness reports by the evaluator's own honesty
@@ -33,7 +32,7 @@ pub struct DefenseConfig {
 }
 
 /// Which trust model every agent runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ModelKind {
     /// Bayesian beta posterior (Mui et al.).
     Beta,

@@ -30,7 +30,6 @@ use crate::metrics::{accuracy_metrics, cooperation_truth, trust_mae_with_truth_t
 use crate::population::{Community, CommunitySnapshot, DefenseConfig, ModelKind};
 use crate::strategy::{plan, Strategy};
 use crate::workload::Workload;
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use trustex_agents::adversary::Faction;
 use trustex_agents::profile::PopulationMix;
@@ -74,7 +73,7 @@ const RETX_QUEUE_CAP: usize = 65_536;
 /// Chaos knobs for a market run: witness gossip is delivered through a
 /// seeded fault plane, with optional bounded retransmission of lost
 /// reports and optional quorum-gated graceful degradation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChaosConfig {
     /// The fault plane's knobs (loss, duplication, delay, partitions);
     /// the plane itself is seeded from the market seed.
@@ -146,7 +145,7 @@ impl Default for MarketConfig {
 }
 
 /// Per-round aggregates.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RoundStats {
     /// Round index.
     pub round: u64,
@@ -167,7 +166,7 @@ pub struct RoundStats {
 }
 
 /// Whole-run aggregates.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MarketReport {
     /// Per-round statistics.
     pub per_round: Vec<RoundStats>,

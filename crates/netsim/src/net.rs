@@ -8,7 +8,6 @@
 use crate::fault::{FaultFate, FaultPlane};
 use crate::rng::SimRng;
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -16,9 +15,7 @@ use std::fmt;
 ///
 /// A plain newtype over `u32`; the reputation layer maps its own peer
 /// identifiers onto these.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct NodeId(pub u32);
 
 impl fmt::Display for NodeId {
@@ -34,7 +31,7 @@ impl From<u32> for NodeId {
 }
 
 /// One-way message latency model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Latency {
     /// Every message takes exactly this long (microseconds).
     Constant(u64),
@@ -93,7 +90,7 @@ impl Latency {
 }
 
 /// Static configuration of a [`Network`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetConfig {
     /// One-way latency model.
     pub latency: Latency,

@@ -3,12 +3,10 @@
 //! * [`Sample`] — stored samples with exact quantiles.
 //! * [`Histogram`] — fixed-width bucket counts for report rendering.
 
-use serde::{Deserialize, Serialize};
-
 /// A stored sample supporting exact quantiles.
 ///
 /// Keeps all values; intended for experiment-scale data (≤ millions).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Sample {
     values: Vec<f64>,
     sorted: bool,
@@ -104,7 +102,7 @@ impl Extend<f64> for Sample {
 }
 
 /// Fixed-width histogram over `[lo, hi)` with out-of-range clamping.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     lo: f64,
     hi: f64,

@@ -13,13 +13,12 @@
 use crate::pgrid::{PGrid, PGridConfig};
 use crate::record::{key_for_peer, Complaint};
 use crate::resolve::{majority_vote, StorageBehavior};
-use serde::{Deserialize, Serialize};
 use trustex_netsim::net::{NetConfig, Network};
 use trustex_netsim::rng::SimRng;
 use trustex_trust::model::PeerId;
 
 /// A resolved complaint tally for one subject.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TallyReport {
     /// Accepted complaints *about* the subject.
     pub received: u64,
@@ -32,7 +31,7 @@ pub struct TallyReport {
 }
 
 /// Configuration of a [`ReputationSystem`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ReputationConfig {
     /// P-Grid parameters.
     pub grid: PGridConfig,
