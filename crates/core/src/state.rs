@@ -203,11 +203,6 @@ impl ExchangeState {
         self.paid += amount;
         Ok(())
     }
-
-    /// The delivered flags, aligned with item ids.
-    pub fn delivered_flags(&self) -> &[bool] {
-        &self.delivered
-    }
 }
 
 /// A view pairing an [`ExchangeState`] with its [`Deal`], exposing the

@@ -169,11 +169,6 @@ impl Network {
         net
     }
 
-    /// The fault plane, if one is installed.
-    pub fn fault_plane(&self) -> Option<&FaultPlane> {
-        self.plane.as_ref()
-    }
-
     /// Messages assigned a fault-plane sequence number so far.
     pub fn link_messages(&self) -> u64 {
         self.next_seq

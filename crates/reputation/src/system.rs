@@ -6,9 +6,6 @@
 //! fraction of storage peers can be configured to lie
 //! ([`StorageBehavior`]), and availability can be driven by a churn
 //! timeline.
-//!
-//! A [`CentralStore`] with identical semantics but a single trusted
-//! server is provided as the idealised baseline for the ablations.
 
 use crate::pgrid::{PGrid, PGridConfig};
 use crate::record::{key_for_peer, Complaint};
@@ -59,15 +56,6 @@ impl ReputationSystem {
             rng,
             behavior: vec![StorageBehavior::Faithful; n_peers],
         }
-    }
-
-    /// Sets the storage behaviour of one peer (dense index).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `peer` is out of range.
-    pub fn set_storage_behavior(&mut self, peer: usize, behavior: StorageBehavior) {
-        self.behavior[peer] = behavior;
     }
 
     /// Makes a random `fraction` of storage peers liars (half
@@ -171,45 +159,6 @@ impl ReputationSystem {
     }
 }
 
-/// The idealised centralized baseline: one trusted store, no network.
-#[derive(Debug, Clone, Default)]
-pub struct CentralStore {
-    complaints: Vec<Complaint>,
-}
-
-impl CentralStore {
-    /// Creates an empty store.
-    pub fn new() -> CentralStore {
-        CentralStore::default()
-    }
-
-    /// Files a complaint.
-    pub fn file_complaint(&mut self, by: PeerId, about: PeerId, round: u64) {
-        self.complaints.push(Complaint { by, about, round });
-    }
-
-    /// Exact complaint tally for a subject.
-    pub fn tally(&self, subject: PeerId) -> (u64, u64) {
-        let received = self
-            .complaints
-            .iter()
-            .filter(|c| c.about == subject)
-            .count() as u64;
-        let filed = self.complaints.iter().filter(|c| c.by == subject).count() as u64;
-        (received, filed)
-    }
-
-    /// Number of stored complaints.
-    pub fn len(&self) -> usize {
-        self.complaints.len()
-    }
-
-    /// Whether the store is empty.
-    pub fn is_empty(&self) -> bool {
-        self.complaints.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -292,18 +241,6 @@ mod tests {
             }
         }
         assert_eq!(exact, 0, "fully corrupted storage cannot answer correctly");
-    }
-
-    #[test]
-    fn central_store_exact() {
-        let mut cs = CentralStore::new();
-        assert!(cs.is_empty());
-        cs.file_complaint(PeerId(1), PeerId(2), 0);
-        cs.file_complaint(PeerId(3), PeerId(2), 1);
-        cs.file_complaint(PeerId(2), PeerId(4), 2);
-        assert_eq!(cs.tally(PeerId(2)), (2, 1));
-        assert_eq!(cs.tally(PeerId(9)), (0, 0));
-        assert_eq!(cs.len(), 3);
     }
 
     #[test]
