@@ -5,7 +5,7 @@
 //! compares it byte for byte, so a refactor that shifts a table — even
 //! the same way at every thread count — fails here. Wall-clock cells
 //! are the only nondeterministic output; they are masked by column name
-//! before rendering (see [`masked_columns`]).
+//! before rendering (see [`is_wall_clock`]).
 //!
 //! Regenerate (after an *intentional* change to a table) with:
 //!
@@ -25,41 +25,27 @@ fn golden_dir() -> PathBuf {
         .join("golden")
 }
 
-/// The wall-clock columns of each experiment. Every other cell is a
-/// deterministic function of the scale.
-fn masked_columns(id: &str, columns: &[String]) -> Vec<String> {
+/// Whether `column` of experiment `id` holds wall-clock time. Every
+/// other cell is a deterministic function of the scale.
+fn is_wall_clock(id: &str, column: &str) -> bool {
     match id {
-        "e2" => columns
-            .iter()
-            .filter(|c| c.as_str() != "n_items")
-            .cloned()
-            .collect(),
-        "e12" => ["kev_s", "p50_us", "p99_us", "p999_us"]
-            .map(String::from)
-            .to_vec(),
-        "e13" => ["wall_ms", "speedup_x"].map(String::from).to_vec(),
-        _ => Vec::new(),
+        "e2" => column != "n_items",
+        "e12" => matches!(column, "kev_s" | "p50_us" | "p99_us" | "p999_us"),
+        "e13" => matches!(column, "wall_ms" | "speedup_x"),
+        _ => false,
     }
 }
 
-/// Replaces every cell of the masked columns with `*`.
+/// Replaces every wall-clock cell with `*`.
 fn mask(id: &str, table: &Table) -> Table {
-    let columns = table.columns();
-    let masked = masked_columns(id, columns);
-    for name in &masked {
-        assert!(
-            columns.contains(name),
-            "{id}: masked column `{name}` is not in the table"
-        );
-    }
-    let names: Vec<&str> = columns.iter().map(String::as_str).collect();
-    let mut out = Table::new(table.title(), &names);
+    let columns: Vec<&str> = table.columns().iter().map(String::as_str).collect();
+    let mut out = Table::new(table.title(), &columns);
     for row in table.rows() {
         out.push_row(
             row.iter()
-                .zip(columns)
-                .map(|(cell, name)| {
-                    if masked.contains(name) {
+                .zip(&columns)
+                .map(|(cell, column)| {
+                    if is_wall_clock(id, column) {
                         Cell::from("*")
                     } else {
                         cell.clone()
