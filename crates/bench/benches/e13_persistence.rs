@@ -1,10 +1,12 @@
 //! E13 bench: composite service snapshot/restore — the warm-start path
-//! (encode the overlay + engine, parse it back) against a fixed state.
+//! (encode the overlay + engine, parse it back) against a fixed state —
+//! and the CRC-32C kernel that frames every section and log record.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 use trustex_market::experiments::{find, Scale};
 use trustex_market::prelude::*;
+use trustex_netsim::crc::crc32c;
 use trustex_netsim::rng::SimRng;
 use trustex_reputation::pgrid::{PGrid, PGridConfig};
 use trustex_trust::engine::{TrustEngine, TrustEvent};
@@ -23,6 +25,26 @@ fn service_state(n: usize, events: usize) -> (PGrid, TrustEngine<trustex_trust::
         }
     }
     (grid, engine)
+}
+
+/// CRC-32C throughput over one snapshot-sized buffer and over a run of
+/// evidence-log-sized frames (~30 bytes each, checksummed one by one).
+fn bench_crc32c(c: &mut Criterion) {
+    let mut rng = SimRng::new(0xC5C);
+    let buf: Vec<u8> = (0..1 << 20).map(|_| rng.index(256) as u8).collect();
+    let mut group = c.benchmark_group("e13/crc32c");
+    group.throughput(Throughput::Bytes(buf.len() as u64));
+    group.bench_function("1MiB", |b| b.iter(|| black_box(crc32c(black_box(&buf)))));
+    let frames = &buf[..2_000 * 30];
+    group.throughput(Throughput::Bytes(frames.len() as u64));
+    group.bench_function("2000x30B", |b| {
+        b.iter(|| {
+            frames
+                .chunks_exact(30)
+                .fold(0u32, |acc, frame| acc ^ crc32c(black_box(frame)))
+        })
+    });
+    group.finish();
 }
 
 fn bench_persistence(c: &mut Criterion) {
@@ -51,5 +73,5 @@ fn bench_persistence(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_persistence);
+criterion_group!(benches, bench_crc32c, bench_persistence);
 criterion_main!(benches);

@@ -88,6 +88,30 @@ impl ByteWriter {
     pub fn put_bytes(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
     }
+
+    /// Overwrites the little-endian `u32` at byte offset `at`, e.g. a
+    /// length reserved before its payload was written.
+    ///
+    /// # Panics
+    /// If `at + 4` exceeds the bytes written so far.
+    pub fn patch_u32(&mut self, at: usize, v: u32) {
+        self.buf[at..at + 4].copy_from_slice(&v.to_le_bytes());
+    }
+
+    /// Overwrites the little-endian `u64` at byte offset `at`.
+    ///
+    /// # Panics
+    /// If `at + 8` exceeds the bytes written so far.
+    pub fn patch_u64(&mut self, at: usize, v: u64) {
+        self.buf[at..at + 8].copy_from_slice(&v.to_le_bytes());
+    }
+}
+
+impl From<Vec<u8>> for ByteWriter {
+    /// A writer that appends after the bytes already in `buf`.
+    fn from(buf: Vec<u8>) -> ByteWriter {
+        ByteWriter { buf }
+    }
 }
 
 /// A cursor over a byte slice whose every read is checked.
@@ -251,6 +275,22 @@ mod tests {
         assert_eq!(r.take_f64().unwrap(), std::f64::consts::PI);
         assert_eq!(r.take_len(0).unwrap(), 3);
         r.finish().unwrap();
+    }
+
+    #[test]
+    fn patches_overwrite_in_place() {
+        let mut w = ByteWriter::from(vec![0xEE]);
+        w.put_u32(0);
+        w.put_u64(0);
+        w.put_u8(0x11);
+        w.patch_u32(1, 0xDEAD_BEEF);
+        w.patch_u64(5, 0x0123_4567_89AB_CDEF);
+        let mut expected = ByteWriter::new();
+        expected.put_u8(0xEE);
+        expected.put_u32(0xDEAD_BEEF);
+        expected.put_u64(0x0123_4567_89AB_CDEF);
+        expected.put_u8(0x11);
+        assert_eq!(w.as_bytes(), expected.as_bytes());
     }
 
     #[test]

@@ -8,11 +8,13 @@
 //! section   := tag[4] payload_len:u64 payload[payload_len] crc32c:u32
 //! ```
 //!
-//! [`SnapshotWriter`] builds one; [`SnapshotReader::parse`] validates the
-//! whole container up front — magic, version, every section's length and
-//! CRC-32C, duplicate tags, trailing bytes — before any payload is
-//! decoded, so a caller that gets a reader back knows the bytes are
-//! structurally sound and can then decode sections in any order.
+//! [`SnapshotWriter`] builds one, encoding each section in place into
+//! the container buffer (no per-section copy). [`SnapshotReader::parse`]
+//! validates the whole container up front — magic, version, every
+//! section's length and CRC-32C, duplicate tags, trailing bytes — before
+//! any payload is decoded, so a caller that gets a reader back knows the
+//! bytes are structurally sound and can then decode sections in any
+//! order.
 //!
 //! Single-value blobs (one type, one section) go through the [`to_bytes`]
 //! / [`from_bytes`] shorthand with the generic `TXPS` magic; composite
@@ -46,51 +48,63 @@ pub trait Persistable: Sized {
 }
 
 /// Builds a snapshot container section by section.
+///
+/// Sections are encoded in place: the container is one growing buffer,
+/// each section's length is reserved, its payload written straight
+/// after it, then the length patched and the CRC-32C taken over the
+/// bytes just written. The section count is patched in
+/// [`SnapshotWriter::into_bytes`].
 #[derive(Debug, Clone)]
 pub struct SnapshotWriter {
-    magic: [u8; 4],
-    sections: Vec<([u8; 4], Vec<u8>)>,
+    buf: ByteWriter,
+    sections: u32,
 }
+
+/// Offset of the `section_count` field: after the magic and version.
+const SECTION_COUNT_AT: usize = 4 + 2;
 
 impl SnapshotWriter {
     /// Starts an empty container with the given magic.
     pub fn new(magic: [u8; 4]) -> SnapshotWriter {
-        SnapshotWriter {
-            magic,
-            sections: Vec::new(),
-        }
+        let mut buf = ByteWriter::new();
+        buf.put_bytes(&magic);
+        buf.put_u16(FORMAT_VERSION);
+        buf.put_u32(0);
+        SnapshotWriter { buf, sections: 0 }
     }
 
     /// Appends a section holding `value`, tagged with its [`Persistable::TAG`].
     pub fn section<T: Persistable>(&mut self, value: &T) -> &mut Self {
-        let mut w = ByteWriter::new();
-        value.encode_state(&mut w);
-        self.raw_section(T::TAG, w.into_bytes())
+        self.framed(T::TAG, |w| value.encode_state(w))
     }
 
     /// Appends a section with an explicit tag and pre-encoded payload.
     /// Used when one container carries several instances of the same type
     /// (e.g. the four model tables of a composite snapshot).
     pub fn raw_section(&mut self, tag: [u8; 4], payload: Vec<u8>) -> &mut Self {
-        self.sections.push((tag, payload));
+        self.framed(tag, |w| w.put_bytes(&payload))
+    }
+
+    /// Writes one section frame, with `payload` writing the payload in
+    /// place between the reserved length and the CRC-32C trailer.
+    fn framed(&mut self, tag: [u8; 4], payload: impl FnOnce(&mut ByteWriter)) -> &mut Self {
+        self.buf.put_bytes(&tag);
+        let len_at = self.buf.len();
+        self.buf.put_u64(0);
+        let start = self.buf.len();
+        payload(&mut self.buf);
+        let end = self.buf.len();
+        self.buf.patch_u64(len_at, (end - start) as u64);
+        let crc = crc32c(&self.buf.as_bytes()[start..end]);
+        self.buf.put_u32(crc);
+        self.sections += 1;
         self
     }
 
-    /// Serialises the container: header, then every section with its
-    /// length prefix and CRC-32C trailer.
-    pub fn into_bytes(self) -> Vec<u8> {
-        let body: usize = self.sections.iter().map(|(_, p)| 4 + 8 + p.len() + 4).sum();
-        let mut w = ByteWriter::with_capacity(4 + 2 + 4 + body);
-        w.put_bytes(&self.magic);
-        w.put_u16(FORMAT_VERSION);
-        w.put_u32(self.sections.len() as u32);
-        for (tag, payload) in &self.sections {
-            w.put_bytes(tag);
-            w.put_u64(payload.len() as u64);
-            w.put_bytes(payload);
-            w.put_u32(crc32c(payload));
-        }
-        w.into_bytes()
+    /// Finishes the container: patches the section count into the header.
+    pub fn into_bytes(mut self) -> Vec<u8> {
+        self.buf.patch_u32(SECTION_COUNT_AT, self.sections);
+        self.buf.into_bytes()
     }
 }
 
@@ -252,6 +266,53 @@ mod tests {
             r.decode_tag::<Pair>(*b"NOPE"),
             Err(PersistError::MissingSection { section: *b"NOPE" })
         );
+    }
+
+    /// A type whose state is empty: its section has a zero-length payload.
+    #[derive(Debug, PartialEq)]
+    struct Unit;
+
+    impl Persistable for Unit {
+        const TAG: [u8; 4] = *b"UNIT";
+        fn encode_state(&self, _w: &mut ByteWriter) {}
+        fn decode_state(_r: &mut ByteReader) -> Result<Self, PersistError> {
+            Ok(Unit)
+        }
+    }
+
+    #[test]
+    fn in_place_section_equals_pre_encoded_raw_section() {
+        let mut pw = ByteWriter::new();
+        sample().encode_state(&mut pw);
+        let mut raw = SnapshotWriter::new(*b"TEST");
+        raw.raw_section(Pair::TAG, pw.into_bytes());
+        raw.raw_section(Unit::TAG, Vec::new());
+        let mut typed = SnapshotWriter::new(*b"TEST");
+        typed.section(&sample()).section(&Unit);
+        assert_eq!(typed.into_bytes(), raw.into_bytes());
+    }
+
+    #[test]
+    fn zero_section_container_round_trips() {
+        let blob = SnapshotWriter::new(*b"TEST").into_bytes();
+        assert_eq!(blob.len(), 4 + 2 + 4);
+        let r = SnapshotReader::parse(&blob, *b"TEST").unwrap();
+        assert_eq!(r.tags().count(), 0);
+    }
+
+    #[test]
+    fn empty_payload_section_round_trips() {
+        let blob = to_bytes(&Unit);
+        assert_eq!(blob.len(), 4 + 2 + 4 + (4 + 8 + 4));
+        assert_eq!(from_bytes::<Unit>(&blob).unwrap(), Unit);
+        // Then a non-empty section after it: both lengths were patched.
+        let mut w = SnapshotWriter::new(*b"TEST");
+        w.section(&Unit).section(&sample());
+        let blob = w.into_bytes();
+        let r = SnapshotReader::parse(&blob, *b"TEST").unwrap();
+        assert_eq!(r.tags().collect::<Vec<_>>(), vec![Unit::TAG, Pair::TAG]);
+        assert_eq!(r.decode::<Unit>().unwrap(), Unit);
+        assert_eq!(r.decode::<Pair>().unwrap(), sample());
     }
 
     #[test]

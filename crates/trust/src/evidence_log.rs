@@ -47,6 +47,10 @@ use trustex_persist::{crc32c, PersistError, FORMAT_VERSION};
 /// Magic identifying an evidence log.
 pub const LOG_MAGIC: [u8; 4] = *b"TXEL";
 
+/// The smallest frame: length, a direct-event payload (issuer 4 + seq 8
+/// + event 14) and the CRC.
+const MIN_FRAME_LEN: usize = 4 + 26 + 4;
+
 /// One logged event: who issued it, the issuer's sequence number (the
 /// dedup key together with the issuer) and the event itself.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,7 +77,7 @@ pub struct LogReplay {
 /// wire format).
 #[derive(Debug, Clone)]
 pub struct EvidenceLog {
-    buf: Vec<u8>,
+    buf: ByteWriter,
     appended: usize,
 }
 
@@ -86,13 +90,10 @@ impl Default for EvidenceLog {
 impl EvidenceLog {
     /// Starts an empty log (header only).
     pub fn new() -> EvidenceLog {
-        let mut w = ByteWriter::new();
-        w.put_bytes(&LOG_MAGIC);
-        w.put_u16(FORMAT_VERSION);
-        EvidenceLog {
-            buf: w.into_bytes(),
-            appended: 0,
-        }
+        let mut buf = ByteWriter::new();
+        buf.put_bytes(&LOG_MAGIC);
+        buf.put_u16(FORMAT_VERSION);
+        EvidenceLog { buf, appended: 0 }
     }
 
     /// Re-opens an existing log for further appends, verifying every
@@ -101,23 +102,25 @@ impl EvidenceLog {
     pub fn open(bytes: Vec<u8>) -> Result<EvidenceLog, PersistError> {
         let replay = EvidenceLog::replay(&bytes)?;
         Ok(EvidenceLog {
-            buf: bytes,
+            buf: ByteWriter::from(bytes),
             appended: replay.records.len() + replay.duplicates,
         })
     }
 
-    /// Appends one record as a checksummed frame.
+    /// Appends one record as a checksummed frame, written in place: the
+    /// length is reserved, the payload encoded after it, then the length
+    /// patched and the CRC-32C taken over the payload just written.
     pub fn append(&mut self, record: &EvidenceRecord) {
-        let mut payload = ByteWriter::new();
-        payload.put_u32(record.issuer.0);
-        payload.put_u64(record.seq);
-        record.event.encode_into(&mut payload);
-        let payload = payload.into_bytes();
-        let mut w = ByteWriter::new();
-        w.put_u32(payload.len() as u32);
-        w.put_bytes(&payload);
-        w.put_u32(crc32c(&payload));
-        self.buf.extend_from_slice(w.as_bytes());
+        let len_at = self.buf.len();
+        self.buf.put_u32(0);
+        let start = self.buf.len();
+        self.buf.put_u32(record.issuer.0);
+        self.buf.put_u64(record.seq);
+        record.event.encode_into(&mut self.buf);
+        let end = self.buf.len();
+        self.buf.patch_u32(len_at, (end - start) as u32);
+        let crc = crc32c(&self.buf.as_bytes()[start..end]);
+        self.buf.put_u32(crc);
         self.appended += 1;
     }
 
@@ -128,12 +131,12 @@ impl EvidenceLog {
 
     /// The serialized log.
     pub fn as_bytes(&self) -> &[u8] {
-        &self.buf
+        self.buf.as_bytes()
     }
 
     /// Consumes the log, returning the serialized bytes.
     pub fn into_bytes(self) -> Vec<u8> {
-        self.buf
+        self.buf.into_bytes()
     }
 
     /// Verifies and replays a serialized log: every frame's CRC is
@@ -157,8 +160,11 @@ impl EvidenceLog {
                 supported: FORMAT_VERSION,
             });
         }
-        let mut records = Vec::new();
-        let mut seen: HashSet<(u32, u64)> = HashSet::new();
+        // Sized from the input, as `take_len` bounds a length prefix: no
+        // log holds more frames than its bytes over the smallest frame.
+        let max_frames = r.remaining() / MIN_FRAME_LEN;
+        let mut records = Vec::with_capacity(max_frames);
+        let mut seen: HashSet<(u32, u64)> = HashSet::with_capacity(max_frames);
         let mut duplicates = 0usize;
         while !r.is_exhausted() {
             let len = r.take_u32()? as usize;
@@ -229,6 +235,17 @@ mod tests {
         let replay = EvidenceLog::replay(log.as_bytes()).unwrap();
         assert_eq!(replay.records, records);
         assert_eq!(replay.duplicates, 0);
+    }
+
+    #[test]
+    fn smallest_frame_is_a_direct_event() {
+        let mut log = EvidenceLog::new();
+        log.append(&EvidenceRecord {
+            issuer: PeerId(1),
+            seq: 0,
+            event: TrustEvent::direct(PeerId(2), Conduct::Honest, 0),
+        });
+        assert_eq!(log.as_bytes().len(), 4 + 2 + MIN_FRAME_LEN);
     }
 
     #[test]
