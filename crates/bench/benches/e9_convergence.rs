@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use trustex_agents::profile::PopulationMix;
-use trustex_market::metrics::{rank_accuracy, trust_mae};
+use trustex_market::metrics::{accuracy_metrics, cooperation_truth};
 use trustex_market::population::{Community, ModelKind};
 use trustex_netsim::rng::SimRng;
 use trustex_trust::model::{Conduct, PeerId};
@@ -33,16 +33,13 @@ fn bench_metrics(c: &mut Criterion) {
     group.sample_size(10);
     for n in [50usize, 100, 200] {
         let community = educated_community(n);
+        let truth = cooperation_truth(&community);
         group.bench_with_input(
-            BenchmarkId::new("trust_mae", n),
+            BenchmarkId::new("accuracy_metrics", n),
             &community,
-            |b, community| b.iter(|| black_box(trust_mae(community))),
+            |b, community| b.iter(|| black_box(accuracy_metrics(community, &truth, 0))),
         );
     }
-    let community = educated_community(50);
-    group.bench_function("rank_accuracy/50", |b| {
-        b.iter(|| black_box(rank_accuracy(&community)))
-    });
     group.finish();
 }
 

@@ -8,8 +8,7 @@
 //! ([`TrustModel::predict_row_into`][trustex_trust::model::TrustModel::predict_row_into]
 //! — a single dense-table sweep that hoists the per-call work, notably
 //! the complaint model's population median, out of the loop), fans the
-//! evaluator rows across
-//! [`parallel_map`][trustex_netsim::pool::parallel_map], and folds the
+//! evaluator rows across [`parallel_map`], and folds the
 //! per-evaluator partials **in evaluator order**. The float
 //! accumulation replays the exact association of the retained naive
 //! pair walks ([`naive`]), so every metric is bit-identical to the
@@ -22,8 +21,8 @@ use trustex_trust::model::{PeerId, TrustEstimate};
 /// The ground-truth cooperation probability of every agent, in id order.
 ///
 /// The truth vector is static over a simulation run, so per-round metric
-/// tracking computes it once and reuses the buffer via
-/// [`trust_mae_with_truth`] instead of re-deriving it every round.
+/// tracking computes it once and reuses the buffer instead of
+/// re-deriving it every round.
 pub fn cooperation_truth(community: &Community) -> Vec<f64> {
     community
         .agent_ids()
@@ -35,11 +34,15 @@ pub fn cooperation_truth(community: &Community) -> Vec<f64> {
 /// evaluator prediction rows by [`accuracy_metrics`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AccuracyMetrics {
-    /// Mean absolute error against ground truth ([`trust_mae`]).
+    /// Mean absolute error of trust estimates against ground truth,
+    /// over all ordered evaluator→subject pairs (`evaluator ≠ subject`).
     pub mae: f64,
-    /// Mann–Whitney ranking accuracy ([`rank_accuracy`]).
+    /// Probability that a uniformly chosen (honest, dishonest) subject
+    /// pair is ranked correctly by a uniformly chosen evaluator (ties
+    /// count ½) — an AUC analogue; 0.5 when either class is empty.
     pub rank_accuracy: f64,
-    /// Thresholded classification accuracy ([`decision_accuracy`]).
+    /// Fraction of evaluator→subject pairs classified correctly by
+    /// thresholding `p_honest` at 0.5 against the binary ground truth.
     pub decision_accuracy: f64,
 }
 
@@ -186,12 +189,10 @@ fn fold_decision(partials: impl Iterator<Item = (u64, u64)>) -> f64 {
 
 /// Computes MAE, ranking accuracy and decision accuracy from **one**
 /// batch of evaluator prediction rows — each (evaluator, subject) pair
-/// is predicted exactly once, where calling the three standalone
-/// metrics predicts it up to three times.
+/// is predicted exactly once.
 ///
-/// `threads` resolves as in
-/// [`resolve_threads`][trustex_netsim::pool::resolve_threads] (0 = the
-/// process default); the result is bit-identical for every value.
+/// `threads` resolves as in [`resolve_threads`] (0 = the process
+/// default); the result is bit-identical for every value.
 ///
 /// # Panics
 ///
@@ -225,24 +226,17 @@ pub fn accuracy_metrics(community: &Community, truth: &[f64], threads: usize) ->
     }
 }
 
-/// Mean absolute error of trust estimates against ground truth, averaged
-/// over all ordered evaluator→subject pairs (`evaluator ≠ subject`).
-pub fn trust_mae(community: &Community) -> f64 {
-    trust_mae_with_truth(community, &cooperation_truth(community))
-}
-
-/// [`trust_mae`] against a precomputed [`cooperation_truth`] buffer —
-/// the batched variant the per-round tracking hot path uses.
+/// Mean absolute error of trust estimates against a precomputed
+/// [`cooperation_truth`] buffer, averaged over all ordered
+/// evaluator→subject pairs (`evaluator ≠ subject`) — the MAE part of
+/// [`accuracy_metrics`], for the per-round tracking hot path.
+///
+/// `threads` is a worker-thread count (0 = process default); the value
+/// never changes the result.
 ///
 /// # Panics
 ///
 /// Panics if `truth.len()` differs from the community size.
-pub fn trust_mae_with_truth(community: &Community, truth: &[f64]) -> f64 {
-    trust_mae_with_truth_threads(community, truth, 0)
-}
-
-/// [`trust_mae_with_truth`] with an explicit worker-thread count
-/// (0 = process default; the value never changes the result).
 pub(crate) fn trust_mae_with_truth_threads(
     community: &Community,
     truth: &[f64],
@@ -253,37 +247,6 @@ pub(crate) fn trust_mae_with_truth_threads(
         abs_errors(evaluator, row, truth)
     });
     fold_mae(rows.iter())
-}
-
-/// Probability that a uniformly chosen (honest, dishonest) subject pair
-/// is ranked correctly by a uniformly chosen evaluator (ties count ½) —
-/// an AUC analogue. Returns 0.5 when either class is empty.
-pub fn rank_accuracy(community: &Community) -> f64 {
-    rank_accuracy_threads(community, 0)
-}
-
-pub(crate) fn rank_accuracy_threads(community: &Community, threads: usize) -> f64 {
-    let (honest, dishonest) = truth_classes(community);
-    if honest.is_empty() || dishonest.is_empty() {
-        return 0.5;
-    }
-    let partials = map_evaluator_rows(community, threads, |evaluator, row| {
-        rank_partial(evaluator, row, &honest, &dishonest)
-    });
-    fold_rank(partials.into_iter())
-}
-
-/// Fraction of evaluator→subject pairs classified correctly by
-/// thresholding `p_honest` at 0.5 against the binary ground truth.
-pub fn decision_accuracy(community: &Community) -> f64 {
-    decision_accuracy_threads(community, 0)
-}
-
-pub(crate) fn decision_accuracy_threads(community: &Community, threads: usize) -> f64 {
-    let partials = map_evaluator_rows(community, threads, |evaluator, row| {
-        decision_partial(community, evaluator, row)
-    });
-    fold_decision(partials.into_iter())
 }
 
 /// The unbatched per-pair metric walks the engine replaced, retained
@@ -425,13 +388,17 @@ mod tests {
         }
     }
 
+    fn metrics(c: &Community) -> AccuracyMetrics {
+        accuracy_metrics(c, &cooperation_truth(c), 0)
+    }
+
     #[test]
     fn mae_decreases_with_evidence() {
         let mut c = community(0.5);
-        let cold = trust_mae(&c);
+        let cold = metrics(&c).mae;
         assert!((cold - 0.5).abs() < 1e-9, "uninformed prior is 0.5 off");
         educate(&mut c, 10);
-        let warm = trust_mae(&c);
+        let warm = metrics(&c).mae;
         assert!(warm < 0.2, "educated community MAE: {warm}");
     }
 
@@ -439,18 +406,18 @@ mod tests {
     fn rank_accuracy_perfect_after_education() {
         let mut c = community(0.5);
         assert!(
-            (rank_accuracy(&c) - 0.5).abs() < 1e-9,
+            (metrics(&c).rank_accuracy - 0.5).abs() < 1e-9,
             "cold start is a coin flip"
         );
         educate(&mut c, 5);
-        assert_eq!(rank_accuracy(&c), 1.0);
+        assert_eq!(metrics(&c).rank_accuracy, 1.0);
     }
 
     #[test]
     fn decision_accuracy_after_education() {
         let mut c = community(0.3);
         educate(&mut c, 10);
-        assert!(decision_accuracy(&c) > 0.95);
+        assert!(metrics(&c).decision_accuracy > 0.95);
     }
 
     /// The naive O(n³) pair walk — one step below even [`naive`]'s
@@ -547,16 +514,6 @@ mod tests {
                             expected_mae,
                             "{kind:?} t={threads}"
                         );
-                        assert_eq!(
-                            rank_accuracy_threads(&c, threads),
-                            expected_rank,
-                            "{kind:?} t={threads}"
-                        );
-                        assert_eq!(
-                            decision_accuracy_threads(&c, threads),
-                            expected_decision,
-                            "{kind:?} t={threads}"
-                        );
                     }
                 }
             }
@@ -564,18 +521,10 @@ mod tests {
     }
 
     #[test]
-    fn trust_mae_with_truth_matches_allocating_path() {
-        let mut c = community(0.4);
-        educate(&mut c, 3);
-        let truth = cooperation_truth(&c);
-        assert_eq!(trust_mae(&c), trust_mae_with_truth(&c, &truth));
-    }
-
-    #[test]
     #[should_panic(expected = "truth buffer size mismatch")]
     fn trust_mae_with_wrong_buffer_panics() {
         let c = community(0.4);
-        trust_mae_with_truth(&c, &[0.5; 3]);
+        trust_mae_with_truth_threads(&c, &[0.5; 3], 1);
     }
 
     #[test]
@@ -588,14 +537,12 @@ mod tests {
     #[test]
     fn degenerate_populations() {
         let c = community(0.0);
-        assert_eq!(rank_accuracy(&c), 0.5, "no dishonest class");
+        let m = metrics(&c);
+        assert_eq!(m.rank_accuracy, 0.5, "no dishonest class");
         // Decision accuracy with the cold prior (0.5 ≥ 0.5 ⇒ honest)
         // is exactly the honest fraction.
-        assert!((decision_accuracy(&c) - 1.0).abs() < 1e-9);
+        assert!((m.decision_accuracy - 1.0).abs() < 1e-9);
         let truth = cooperation_truth(&c);
-        let m = accuracy_metrics(&c, &truth, 2);
-        assert_eq!(m.rank_accuracy, 0.5);
-        assert_eq!(m.mae, trust_mae(&c));
-        assert_eq!(m.decision_accuracy, decision_accuracy(&c));
+        assert_eq!(m.mae, trust_mae_with_truth_threads(&c, &truth, 2));
     }
 }

@@ -165,14 +165,12 @@ pub fn e13_persistence(scale: Scale) -> Table {
     let restored = restore_service::<BetaTrust>(&blob);
     let restore_ms = ms(t0);
     let restore_check = match &restored {
-        Ok((grid2, engine2)) => {
-            grid2.check_invariants();
-            if snapshot_service(grid2, engine2) == blob {
-                "ok"
-            } else {
-                "MISMATCH"
-            }
+        Ok((grid2, engine2))
+            if grid2.check_invariants().is_ok() && snapshot_service(grid2, engine2) == blob =>
+        {
+            "ok"
         }
+        Ok(_) => "MISMATCH",
         Err(_) => "MISSED",
     };
 

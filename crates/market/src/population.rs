@@ -200,22 +200,19 @@ impl AnyModel {
     }
 }
 
-/// Witness reports awaiting corroboration, stored densely per
-/// evaluator: `queues[evaluator]` holds one entry per subject with
-/// outstanding reports, scanned linearly.
-///
-/// This replaces the old `FxHasher` map keyed on `(evaluator,
-/// subject)`: the per-evaluator queue is a handful of entries (bounded
-/// by the gossip rate between the subject's interactions), so a linear
-/// scan beats hashing on the feedback hot path — and the storage is
-/// indexable by evaluator, the access pattern both the record path and
-/// the snapshot engine's merge phase have. Consumed report buffers are
-/// recycled through a spare pool, so steady-state operation allocates
-/// nothing.
 /// One evaluator's pending queue: `(subject, reports)` entries, where
 /// each report is `(witness, conduct)`.
 type ReportQueue = Vec<(PeerId, Vec<(PeerId, Conduct)>)>;
 
+/// Witness reports awaiting corroboration, stored densely per
+/// evaluator: `queues[evaluator]` holds one entry per subject with
+/// outstanding reports, scanned linearly.
+///
+/// A per-evaluator queue is a handful of entries (bounded by the gossip
+/// rate between the subject's interactions), so a linear scan beats
+/// hashing on the feedback hot path. Consumed report buffers are
+/// recycled through a spare pool, so steady-state operation allocates
+/// nothing.
 #[derive(Debug, Default)]
 struct PendingIndex {
     /// Per-evaluator queues of `(subject, reports)` entries.

@@ -174,7 +174,7 @@ fn pgrid_fixture_round_trips() {
         let decoded: PGrid = from_bytes(committed).expect("committed grid must decode");
         let reference = corpus_grid();
         assert_eq!(decoded.len(), reference.len());
-        decoded.check_invariants();
+        decoded.check_invariants().expect("grid invariants");
         for peer in 0..decoded.len() {
             assert_eq!(decoded.path(peer), reference.path(peer), "path of {peer}");
             assert_eq!(

@@ -61,8 +61,6 @@ pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
     next_seq: u64,
     now: SimTime,
-    pushed: u64,
-    popped: u64,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -78,8 +76,6 @@ impl<E> EventQueue<E> {
             heap: BinaryHeap::new(),
             next_seq: 0,
             now: SimTime::ZERO,
-            pushed: 0,
-            popped: 0,
         }
     }
 
@@ -98,16 +94,6 @@ impl<E> EventQueue<E> {
         self.heap.is_empty()
     }
 
-    /// Total events pushed over the queue's lifetime.
-    pub fn total_pushed(&self) -> u64 {
-        self.pushed
-    }
-
-    /// Total events popped over the queue's lifetime.
-    pub fn total_popped(&self) -> u64 {
-        self.popped
-    }
-
     /// Schedules `payload` at absolute time `at`.
     ///
     /// # Panics
@@ -122,21 +108,11 @@ impl<E> EventQueue<E> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.pushed += 1;
         self.heap.push(Entry {
             time: at,
             seq,
             payload,
         });
-    }
-
-    /// Schedules `payload` at `delay` after the current clock.
-    pub fn push_after(&mut self, delay: SimTime, payload: E) {
-        let at = self
-            .now
-            .checked_add(delay)
-            .expect("simulation clock overflow");
-        self.push(at, payload);
     }
 
     /// Timestamp of the next event without removing it.
@@ -149,13 +125,7 @@ impl<E> EventQueue<E> {
         let entry = self.heap.pop()?;
         debug_assert!(entry.time >= self.now);
         self.now = entry.time;
-        self.popped += 1;
         Some((entry.time, entry.payload))
-    }
-
-    /// Drops all pending events, keeping the clock where it is.
-    pub fn clear(&mut self) {
-        self.heap.clear();
     }
 }
 
@@ -203,16 +173,6 @@ mod tests {
     }
 
     #[test]
-    fn push_after_uses_current_clock() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::from_micros(100), "first");
-        q.pop();
-        q.push_after(SimTime::from_micros(50), "second");
-        let (t, _) = q.pop().unwrap();
-        assert_eq!(t, SimTime::from_micros(150));
-    }
-
-    #[test]
     fn counters_and_len() {
         let mut q = EventQueue::new();
         assert!(q.is_empty());
@@ -220,11 +180,9 @@ mod tests {
         q.push(SimTime::from_micros(2), ());
         assert_eq!(q.len(), 2);
         q.pop();
-        assert_eq!(q.total_pushed(), 2);
-        assert_eq!(q.total_popped(), 1);
-        q.clear();
+        assert_eq!(q.len(), 1);
+        q.pop();
         assert!(q.is_empty());
-        assert_eq!(q.total_pushed(), 2);
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //!   every experiment in the paper reproduction is replayable bit-for-bit.
 //! * [`time::SimTime`] and [`event::EventQueue`] — a virtual clock and a
 //!   stable discrete-event queue (ties broken by insertion order).
-//! * [`net`] — message latency/drop models with per-kind accounting, used
-//!   by the P-Grid reputation storage to count routing messages.
+//! * [`net`] — a message latency model with per-kind accounting, used by
+//!   the P-Grid reputation storage to count routing messages. Loss comes
+//!   only from an installed [`fault`] plane.
 //! * [`fault`] — a seeded per-link fault plane (loss, duplication, delay
 //!   jitter, partition episodes) whose every decision is a pure function
 //!   of `(seed, src, dst, msg_seq)`, so chaos runs replay bit-for-bit.
@@ -54,7 +55,6 @@ pub mod churn;
 pub mod crc;
 pub mod event;
 pub mod fault;
-pub mod hash;
 pub mod net;
 pub mod pool;
 pub mod rng;

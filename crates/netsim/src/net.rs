@@ -1,4 +1,4 @@
-//! Message-level network model: latency distributions, loss, accounting.
+//! Message-level network model: latency, fault-plane loss, accounting.
 //!
 //! The P-Grid reputation storage (crate `trustex-reputation`) routes
 //! queries through this model so that the experiment suite can report the
@@ -30,81 +30,44 @@ impl From<u32> for NodeId {
     }
 }
 
-/// One-way message latency model.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Latency {
-    /// Every message takes exactly this long (microseconds).
-    Constant(u64),
-    /// Uniform in `[lo, hi)` microseconds.
-    Uniform {
-        /// Inclusive lower bound in microseconds.
-        lo: u64,
-        /// Exclusive upper bound in microseconds.
-        hi: u64,
-    },
-    /// Mostly `base`, but with probability `spike_prob` a spike of
-    /// `base * spike_factor` — a crude model of congested links.
-    Spiky {
-        /// Baseline latency in microseconds.
-        base: u64,
-        /// Probability of a spike, in `[0, 1]`.
-        spike_prob: f64,
-        /// Multiplier applied to `base` during a spike.
-        spike_factor: u64,
-    },
+/// One-way message latency: uniform in `[lo, hi)` microseconds.
+///
+/// A band with `hi <= lo + 1` always yields `lo` and draws nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Latency {
+    /// Inclusive lower bound in microseconds.
+    pub lo: u64,
+    /// Exclusive upper bound in microseconds.
+    pub hi: u64,
 }
 
 impl Default for Latency {
     /// A LAN-ish default: uniform 200µs–2ms.
     fn default() -> Self {
-        Latency::Uniform { lo: 200, hi: 2_000 }
+        Latency { lo: 200, hi: 2_000 }
     }
 }
 
 impl Latency {
     /// Samples a one-way delay.
     pub fn sample(&self, rng: &mut SimRng) -> SimTime {
-        let us = match *self {
-            Latency::Constant(us) => us,
-            Latency::Uniform { lo, hi } => {
-                if lo + 1 >= hi {
-                    lo
-                } else {
-                    rng.range_u64(lo, hi)
-                }
-            }
-            Latency::Spiky {
-                base,
-                spike_prob,
-                spike_factor,
-            } => {
-                if rng.chance(spike_prob) {
-                    base.saturating_mul(spike_factor)
-                } else {
-                    base
-                }
-            }
+        let us = if self.lo + 1 >= self.hi {
+            self.lo
+        } else {
+            rng.range_u64(self.lo, self.hi)
         };
         SimTime::from_micros(us)
     }
 }
 
 /// Static configuration of a [`Network`].
-#[derive(Debug, Clone, Copy, PartialEq)]
+///
+/// Message loss comes only from the [`FaultPlane`] installed with
+/// [`Network::with_fault_plane`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct NetConfig {
     /// One-way latency model.
     pub latency: Latency,
-    /// Independent probability that any message is silently dropped.
-    pub drop_prob: f64,
-}
-
-impl Default for NetConfig {
-    fn default() -> Self {
-        NetConfig {
-            latency: Latency::default(),
-            drop_prob: 0.0,
-        }
-    }
 }
 
 /// Outcome of attempting to send one message.
@@ -127,12 +90,13 @@ pub enum Delivery {
 /// # Examples
 ///
 /// ```
-/// use trustex_netsim::net::{Network, NetConfig, Latency, Delivery};
+/// use trustex_netsim::net::{Delivery, Latency, NetConfig, Network, NodeId};
 /// use trustex_netsim::rng::SimRng;
+/// use trustex_netsim::time::SimTime;
 ///
 /// let mut rng = SimRng::new(1);
-/// let mut net = Network::new(NetConfig { latency: Latency::Constant(500), drop_prob: 0.0 });
-/// match net.send("query", &mut rng) {
+/// let mut net = Network::new(NetConfig { latency: Latency { lo: 500, hi: 500 } });
+/// match net.send_link("query", NodeId(0), NodeId(1), SimTime::ZERO, &mut rng) {
 ///     Delivery::Delivered(d) => assert_eq!(d.as_micros(), 500),
 ///     Delivery::Dropped => unreachable!(),
 /// }
@@ -150,7 +114,7 @@ pub struct Network {
 }
 
 impl Network {
-    /// Creates a network with the given configuration.
+    /// Creates a lossless network with the given configuration.
     pub fn new(cfg: NetConfig) -> Self {
         Network {
             cfg,
@@ -161,8 +125,7 @@ impl Network {
         }
     }
 
-    /// Creates a network whose link-level sends ([`Network::send_link`])
-    /// pass through a fault plane.
+    /// Creates a network whose sends pass through a fault plane.
     pub fn with_fault_plane(cfg: NetConfig, plane: FaultPlane) -> Self {
         let mut net = Network::new(cfg);
         net.plane = Some(plane);
@@ -174,34 +137,13 @@ impl Network {
         self.next_seq
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> NetConfig {
-        self.cfg
-    }
-
-    /// Attempts to send a message of the given kind, returning its fate.
-    ///
-    /// Every call counts as one sent message of `kind`; drops are counted
-    /// separately.
-    pub fn send(&mut self, kind: &'static str, rng: &mut SimRng) -> Delivery {
-        *self.sent.entry(kind).or_insert(0) += 1;
-        if rng.chance(self.cfg.drop_prob) {
-            *self.dropped.entry(kind).or_insert(0) += 1;
-            Delivery::Dropped
-        } else {
-            Delivery::Delivered(self.cfg.latency.sample(rng))
-        }
-    }
-
     /// Attempts to send a message of `kind` on the link `src → dst` at
-    /// virtual time `at`, consulting the fault plane if one is installed.
+    /// virtual time `at`, returning its fate.
     ///
-    /// Without a plane this is exactly [`Network::send`] — same RNG
-    /// draws, same counters — so routing code can migrate to the link
-    /// API without perturbing existing replays. With a plane, each call
-    /// consumes one monotone sequence number and the plane's pure
-    /// `(seed, src, dst, seq)` decision is layered on top of the base
-    /// `drop_prob`/latency model:
+    /// Every call counts as one sent message of `kind` and draws one base
+    /// latency. Without a fault plane every message is delivered. With a
+    /// plane, each call consumes one monotone sequence number and the
+    /// plane's pure `(seed, src, dst, seq)` decision is layered on top:
     ///
     /// * `Lost`/`Blocked` count as a drop of `kind`;
     /// * injected duplicates count as extra sent messages of `kind`
@@ -215,18 +157,13 @@ impl Network {
         at: SimTime,
         rng: &mut SimRng,
     ) -> Delivery {
-        let plane = match self.plane {
-            None => return self.send(kind, rng),
-            Some(plane) => plane,
+        *self.sent.entry(kind).or_insert(0) += 1;
+        let base = self.cfg.latency.sample(rng);
+        let Some(plane) = self.plane else {
+            return Delivery::Delivered(base);
         };
         let seq = self.next_seq;
         self.next_seq += 1;
-        *self.sent.entry(kind).or_insert(0) += 1;
-        if rng.chance(self.cfg.drop_prob) {
-            *self.dropped.entry(kind).or_insert(0) += 1;
-            return Delivery::Dropped;
-        }
-        let base = self.cfg.latency.sample(rng);
         match plane.decide(src.0, dst.0, seq, at) {
             FaultFate::Lost | FaultFate::Blocked => {
                 *self.dropped.entry(kind).or_insert(0) += 1;
@@ -263,39 +200,29 @@ impl Network {
     pub fn total_dropped(&self) -> u64 {
         self.dropped.values().sum()
     }
-
-    /// Iterates over `(kind, sent, dropped)` triples in kind order.
-    pub fn iter_kinds(&self) -> impl Iterator<Item = (&'static str, u64, u64)> + '_ {
-        self.sent.iter().map(move |(k, s)| {
-            let d = self.dropped.get(k).copied().unwrap_or(0);
-            (*k, *s, d)
-        })
-    }
-
-    /// Resets all counters (configuration is kept).
-    pub fn reset_counters(&mut self) {
-        self.sent.clear();
-        self.dropped.clear();
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// A band at most one microsecond wide is a constant latency: it
+    /// always yields `lo` and draws nothing from the RNG.
     #[test]
     fn constant_latency() {
         let mut rng = SimRng::new(1);
-        let lat = Latency::Constant(750);
+        let mut untouched = SimRng::new(1);
+        let lat = Latency { lo: 750, hi: 751 };
         for _ in 0..10 {
             assert_eq!(lat.sample(&mut rng).as_micros(), 750);
         }
+        assert_eq!(rng.next_u64(), untouched.next_u64(), "a draw was made");
     }
 
     #[test]
     fn uniform_latency_in_bounds() {
         let mut rng = SimRng::new(2);
-        let lat = Latency::Uniform { lo: 100, hi: 200 };
+        let lat = Latency { lo: 100, hi: 200 };
         for _ in 0..1000 {
             let d = lat.sample(&mut rng).as_micros();
             assert!((100..200).contains(&d), "{d}");
@@ -305,40 +232,31 @@ mod tests {
     #[test]
     fn uniform_degenerate_band() {
         let mut rng = SimRng::new(3);
-        let lat = Latency::Uniform { lo: 100, hi: 100 };
+        let lat = Latency { lo: 100, hi: 100 };
         assert_eq!(lat.sample(&mut rng).as_micros(), 100);
     }
 
-    #[test]
-    fn spiky_latency_spikes() {
-        let mut rng = SimRng::new(4);
-        let lat = Latency::Spiky {
-            base: 100,
-            spike_prob: 0.5,
-            spike_factor: 10,
-        };
-        let mut base_seen = false;
-        let mut spike_seen = false;
-        for _ in 0..200 {
-            match lat.sample(&mut rng).as_micros() {
-                100 => base_seen = true,
-                1_000 => spike_seen = true,
-                other => panic!("unexpected latency {other}"),
-            }
-        }
-        assert!(base_seen && spike_seen);
+    fn send(net: &mut Network, kind: &'static str, rng: &mut SimRng) -> Delivery {
+        net.send_link(kind, NodeId(0), NodeId(1), SimTime::ZERO, rng)
     }
 
+    /// Loss comes from the fault plane: every send counts, and each
+    /// lost one counts once more as a drop.
     #[test]
     fn send_counts_and_drops() {
+        use crate::fault::FaultConfig;
+        let plane = FaultPlane::new(
+            5,
+            FaultConfig {
+                loss: 0.5,
+                ..FaultConfig::default()
+            },
+        );
+        let mut net = Network::with_fault_plane(NetConfig::default(), plane);
         let mut rng = SimRng::new(5);
-        let mut net = Network::new(NetConfig {
-            latency: Latency::Constant(10),
-            drop_prob: 0.5,
-        });
         let mut delivered = 0;
         for _ in 0..1000 {
-            if let Delivery::Delivered(_) = net.send("q", &mut rng) {
+            if let Delivery::Delivered(_) = send(&mut net, "q", &mut rng) {
                 delivered += 1;
             }
         }
@@ -352,70 +270,53 @@ mod tests {
     fn kinds_are_separate() {
         let mut rng = SimRng::new(6);
         let mut net = Network::new(NetConfig::default());
-        net.send("a", &mut rng);
-        net.send("a", &mut rng);
-        net.send("b", &mut rng);
+        send(&mut net, "a", &mut rng);
+        send(&mut net, "a", &mut rng);
+        send(&mut net, "b", &mut rng);
         assert_eq!(net.sent("a"), 2);
         assert_eq!(net.sent("b"), 1);
         assert_eq!(net.sent("c"), 0);
         assert_eq!(net.total_sent(), 3);
-        let kinds: Vec<_> = net.iter_kinds().collect();
-        assert_eq!(kinds, vec![("a", 2, 0), ("b", 1, 0)]);
+        assert_eq!(net.total_dropped(), 0);
     }
 
+    /// Without a plane every send is delivered after exactly one base
+    /// latency draw, and no fault-plane sequence number is consumed.
     #[test]
-    fn reset_keeps_config() {
-        let mut rng = SimRng::new(7);
-        let cfg = NetConfig {
-            latency: Latency::Constant(1),
-            drop_prob: 0.25,
-        };
-        let mut net = Network::new(cfg);
-        net.send("x", &mut rng);
-        net.reset_counters();
-        assert_eq!(net.total_sent(), 0);
-        assert_eq!(net.config(), cfg);
-    }
-
-    #[test]
-    fn send_link_without_plane_matches_send_exactly() {
-        let cfg = NetConfig {
-            latency: Latency::Uniform { lo: 100, hi: 900 },
-            drop_prob: 0.2,
-        };
-        let mut a = Network::new(cfg);
-        let mut b = Network::new(cfg);
-        let mut rng_a = SimRng::new(42);
-        let mut rng_b = SimRng::new(42);
+    fn no_plane_draws_one_latency_per_send() {
+        let latency = Latency { lo: 100, hi: 900 };
+        let mut net = Network::new(NetConfig { latency });
+        let mut rng = SimRng::new(42);
+        let mut reference = SimRng::new(42);
         for i in 0..500u32 {
-            let da = a.send("q", &mut rng_a);
-            let db = b.send_link("q", NodeId(i), NodeId(i + 1), SimTime::ZERO, &mut rng_b);
-            assert_eq!(da, db);
+            let got = net.send_link("q", NodeId(i), NodeId(i + 1), SimTime::ZERO, &mut rng);
+            assert_eq!(got, Delivery::Delivered(latency.sample(&mut reference)));
         }
-        assert_eq!(rng_a.next_u64(), rng_b.next_u64(), "RNG streams diverged");
-        assert_eq!(a.sent("q"), b.sent("q"));
-        assert_eq!(a.dropped("q"), b.dropped("q"));
-        assert_eq!(b.link_messages(), 0, "no plane, no sequence numbers");
+        assert_eq!(rng.next_u64(), reference.next_u64(), "RNG streams diverged");
+        assert_eq!((net.sent("q"), net.dropped("q")), (500, 0));
+        assert_eq!(net.link_messages(), 0, "no plane, no sequence numbers");
     }
 
+    /// A transparent plane is invisible: same fates, counters and RNG
+    /// stream as no plane at all.
     #[test]
-    fn zero_plane_send_link_matches_send_exactly() {
+    fn transparent_plane_matches_no_plane() {
         let cfg = NetConfig {
-            latency: Latency::Uniform { lo: 100, hi: 900 },
-            drop_prob: 0.1,
+            latency: Latency { lo: 100, hi: 900 },
         };
         let mut plain = Network::new(cfg);
         let mut chaos = Network::with_fault_plane(cfg, FaultPlane::transparent(7));
         let mut rng_a = SimRng::new(9);
         let mut rng_b = SimRng::new(9);
         for i in 0..500u32 {
-            let da = plain.send("q", &mut rng_a);
+            let da = plain.send_link("q", NodeId(i), NodeId(0), SimTime::ZERO, &mut rng_a);
             let db = chaos.send_link("q", NodeId(i), NodeId(0), SimTime::ZERO, &mut rng_b);
             assert_eq!(da, db);
         }
         assert_eq!(rng_a.next_u64(), rng_b.next_u64(), "RNG streams diverged");
         assert_eq!(plain.sent("q"), chaos.sent("q"));
         assert_eq!(plain.dropped("q"), chaos.dropped("q"));
+        assert_eq!(chaos.link_messages(), 500);
     }
 
     /// Satellite check: with a faulty plane installed, the per-kind
@@ -435,8 +336,10 @@ mod tests {
             },
         );
         let cfg = NetConfig {
-            latency: Latency::Constant(1_000),
-            drop_prob: 0.0,
+            latency: Latency {
+                lo: 1_000,
+                hi: 1_000,
+            },
         };
         let mut net = Network::with_fault_plane(cfg, plane);
         let mut rng = SimRng::new(31);

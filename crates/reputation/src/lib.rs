@@ -13,7 +13,7 @@
 //!   plus true membership dynamics (`join`/`leave`).
 //! * [`lifecycle`] — admission pacing over the grid: join backoff,
 //!   bounded admission rate, stale-peer eviction.
-//! * [`resolve`] — majority/median resolution against lying replicas.
+//! * [`resolve`] — majority-vote resolution against lying replicas.
 //! * [`system`] — the facade the market simulation uses
 //!   ([`system::ReputationSystem`]), plus the centralized baseline.
 //!
@@ -41,6 +41,6 @@ pub mod prelude {
     pub use crate::lifecycle::{Lifecycle, LifecycleConfig, TickReport};
     pub use crate::pgrid::{InsertReceipt, PGrid, PGridConfig, QueryResult};
     pub use crate::record::{key_for_peer, BitPath, Complaint, Key};
-    pub use crate::resolve::{majority_vote, median_count, StorageBehavior};
+    pub use crate::resolve::{majority_vote, StorageBehavior};
     pub use crate::system::{ReputationConfig, ReputationSystem, TallyReport};
 }

@@ -277,7 +277,7 @@ mod tests {
         assert_eq!(total, 10);
         assert_eq!(lc.pending_joins(), 0);
         assert_eq!(g.live_len(), 42);
-        g.check_invariants();
+        g.check_invariants().expect("grid invariants");
     }
 
     #[test]
@@ -351,7 +351,7 @@ mod tests {
         assert_ne!(fresh, 3, "rejoin gets a fresh dense identity");
         assert!(g.is_live(fresh));
         assert_eq!(g.live_len(), 16);
-        g.check_invariants();
+        g.check_invariants().expect("grid invariants");
     }
 
     #[test]
@@ -391,7 +391,7 @@ mod tests {
         }
         assert_eq!(g.live_len(), 16 - 4 * 2);
         assert!((10..16).all(|p| g.is_live(p)));
-        g.check_invariants();
+        g.check_invariants().expect("grid invariants");
     }
 
     #[test]
@@ -434,7 +434,7 @@ mod tests {
             assert!(r.evicted.is_empty(), "fresh peers evicted: {r:?}");
         }
         assert_eq!(g.live_len(), 8);
-        g.check_invariants();
+        g.check_invariants().expect("grid invariants");
     }
 
     #[test]

@@ -105,7 +105,7 @@ pub struct PGridConfig {
     /// replica-group size. At most 20 (the directory arena holds
     /// `2^(max_depth+1)` slots).
     pub max_depth: u8,
-    /// Maximum references kept per level.
+    /// Maximum references kept per level (1..=256).
     pub max_refs: usize,
     /// Global-mixing bootstrap meetings per peer (more meetings =
     /// better-filled reference tables). The split-cascade and
@@ -140,16 +140,23 @@ impl PGridConfig {
         }
     }
 
-    fn validate(&self) {
-        assert!(self.key_bits >= 1 && self.key_bits <= 32);
-        assert!(self.max_depth >= 1 && self.max_depth <= self.key_bits);
-        assert!(
-            self.max_depth <= ARENA_DEPTH_LIMIT,
-            "max_depth {} exceeds the directory-arena limit {}",
-            self.max_depth,
-            ARENA_DEPTH_LIMIT
-        );
-        assert!(self.max_refs >= 1 && self.max_refs <= REFS_LIMIT);
+    /// Checks every bound and returns the first one violated: `key_bits`
+    /// in `1..=32`, `max_depth` in `1..=key_bits` and within the
+    /// directory-arena limit, `max_refs` in `1..=256`.
+    fn validate(&self) -> Result<(), &'static str> {
+        if !(1..=32).contains(&self.key_bits) {
+            return Err("key_bits must be in 1..=32");
+        }
+        if !(1..=self.key_bits).contains(&self.max_depth) {
+            return Err("max_depth must be in 1..=key_bits");
+        }
+        if self.max_depth > ARENA_DEPTH_LIMIT {
+            return Err("max_depth exceeds the directory-arena limit");
+        }
+        if !(1..=REFS_LIMIT).contains(&self.max_refs) {
+            return Err("max_refs must be in 1..=256");
+        }
+        Ok(())
     }
 }
 
@@ -244,7 +251,9 @@ impl PGrid {
     /// Panics if `n == 0` or the configuration is invalid.
     pub fn build(n: usize, cfg: PGridConfig, rng: &mut SimRng) -> PGrid {
         assert!(n > 0, "need at least one peer");
-        cfg.validate();
+        if let Err(bound) = cfg.validate() {
+            panic!("{bound}");
+        }
         let d = cfg.max_depth as usize;
         let slots = 1usize << (cfg.max_depth + 1);
         let mut grid = PGrid {
@@ -910,7 +919,7 @@ impl PGrid {
     /// its path by one bit — splitting an equal-path partner, or
     /// specialising against a deeper one — until it reaches the
     /// configured depth or is alone in its subspace. Splits hand the
-    /// partner's store to the newcomer (the store union in [`meet`]), and
+    /// partner's store to the newcomer (the store union of a meeting), and
     /// a final handoff syncs from its new replica group — or from the
     /// deepest remaining owner of its subspace — so an admitted peer
     /// answers queries with the data its group already holds.
@@ -1239,74 +1248,17 @@ impl PGrid {
         full as f64 / self.live as f64
     }
 
-    /// Asserts every structural invariant of the flat arena: directory
-    /// membership and `dir_pos` sync, occupied-bucket and subtree
-    /// counts, reference-bucket bounds and the level/divergence contract
-    /// of every entry. Test-suite hook, not part of the public contract.
-    #[doc(hidden)]
-    pub fn check_invariants(&self) {
-        let n = self.paths.len();
-        let d = self.cfg.max_depth as usize;
-        let mut indexed = 0usize;
-        for (slot, bucket) in self.buckets.iter().enumerate() {
-            for (pos, &m) in bucket.iter().enumerate() {
-                let m = m as usize;
-                assert!(!self.departed[m], "departed peer {m} still indexed");
-                assert_eq!(self.paths[m].slot(), slot, "peer {m} in the wrong bucket");
-                assert_eq!(self.dir_pos[m] as usize, pos, "dir_pos out of sync for {m}");
-                indexed += 1;
-            }
-        }
-        assert_eq!(
-            indexed, self.live,
-            "directory must index every live peer once"
-        );
-        assert_eq!(
-            self.occupied,
-            self.buckets.iter().filter(|b| !b.is_empty()).count(),
-            "occupied-bucket count out of sync"
-        );
-        for slot in 1..self.buckets.len() {
-            let children = if (slot << 1) < self.buckets.len() {
-                self.subtree[slot << 1] + self.subtree[(slot << 1) | 1]
-            } else {
-                0
-            };
-            assert_eq!(
-                self.subtree[slot],
-                self.buckets[slot].len() as u32 + children,
-                "subtree count wrong at slot {slot}"
-            );
-        }
-        for peer in 0..n {
-            let plen = self.paths[peer].len();
-            for level in 0..d {
-                let li = peer * d + level;
-                let len = self.ref_len[li] as usize;
-                assert!(len <= self.cfg.max_refs, "bucket over capacity");
-                if self.departed[peer] || level as u8 >= plen {
-                    assert_eq!(len, 0, "peer {peer} level {level} must be empty");
-                    continue;
-                }
-                for e in self.ref_bucket(peer, level) {
-                    let t = e.peer as usize;
-                    assert!(t < n && t != peer, "bad reference target");
-                    let tp = self.paths[t];
-                    assert!(
-                        tp.len() > level as u8 && self.paths[peer].common_prefix(tp) == level as u8,
-                        "peer {peer} level {level} reference {t} violates divergence"
-                    );
-                }
-            }
-        }
-    }
-
-    /// Non-panicking mirror of [`PGrid::check_invariants`], run on every
-    /// restore: a snapshot that decodes structurally but describes an
-    /// inconsistent arena (crafted or miscomputed) must surface as
-    /// [`PersistError::Invalid`], never as a silently-wrong grid or a
+    /// Checks every structural invariant of the flat arena: directory
+    /// membership (each live peer indexed once, under its own path) and
+    /// `dir_pos` sync, occupied-bucket and subtree counts, path depth,
+    /// reference-bucket bounds and the level/divergence contract of
+    /// every entry.
+    ///
+    /// Every restore runs it, so a snapshot that decodes structurally but
+    /// describes an inconsistent arena (crafted or miscomputed) surfaces
+    /// as [`PersistError::Invalid`], never as a silently-wrong grid or a
     /// later panic deep inside routing.
-    fn validate_restored(&self) -> Result<(), PersistError> {
+    pub fn check_invariants(&self) -> Result<(), PersistError> {
         fn invalid(context: &'static str) -> PersistError {
             PersistError::Invalid { context }
         }
@@ -1450,18 +1402,8 @@ impl Persistable for PGrid {
             max_refs: r.take_u64()? as usize,
             meetings_per_peer: r.take_u64()? as usize,
         };
-        if cfg.key_bits < 1
-            || cfg.key_bits > 32
-            || cfg.max_depth < 1
-            || cfg.max_depth > cfg.key_bits
-            || cfg.max_depth > ARENA_DEPTH_LIMIT
-            || cfg.max_refs < 1
-            || cfg.max_refs > REFS_LIMIT
-        {
-            return Err(PersistError::Invalid {
-                context: "grid configuration out of range",
-            });
-        }
+        cfg.validate()
+            .map_err(|context| PersistError::Invalid { context })?;
         let d = cfg.max_depth as usize;
         let clock = r.take_u64()?;
         let n = r.take_len(9)?;
@@ -1576,7 +1518,7 @@ impl Persistable for PGrid {
             dir_pos,
             clock,
         };
-        grid.validate_restored()?;
+        grid.check_invariants()?;
         Ok(grid)
     }
 }
@@ -1633,7 +1575,7 @@ mod tests {
                 .collect();
             assert_eq!(g.responsible_peers(key), naive, "key {:#x}", key.bits());
         }
-        g.check_invariants();
+        g.check_invariants().expect("grid invariants");
         // Occupied paths: all 2^d leaves plus possibly a few shallower
         // stragglers — never more than the whole trie.
         assert!(g.leaf_count() < 1 << (g.config().max_depth + 1));
@@ -1642,7 +1584,7 @@ mod tests {
     #[test]
     fn reference_buckets_stay_bounded() {
         let (g, _, _) = grid(256, 6, 22);
-        g.check_invariants(); // includes the per-bucket capacity bound
+        g.check_invariants().expect("grid invariants"); // includes the per-bucket capacity bound
     }
 
     #[test]
@@ -1789,7 +1731,7 @@ mod tests {
             after >= before && after >= 95,
             "repair should restore routing: {before} -> {after}"
         );
-        g.check_invariants();
+        g.check_invariants().expect("grid invariants");
     }
 
     #[test]
@@ -1875,7 +1817,7 @@ mod tests {
         // 96 peers over 16 leaves: the newcomer always finds partners
         // all the way down.
         assert_eq!(g.path(idx).len(), g.config().max_depth);
-        g.check_invariants();
+        g.check_invariants().expect("grid invariants");
         // The newcomer is part of the responsible set for keys under its
         // path, and routing still lands on prefix-owners.
         for t in 200..260u32 {
@@ -1904,7 +1846,7 @@ mod tests {
         for _ in 0..24 {
             g.join(&mut rng);
         }
-        g.check_invariants();
+        g.check_invariants().expect("grid invariants");
         let result = g.query(5, key, None, &mut net, &mut rng);
         assert!(result.is_resolved());
         for (member, items) in &result.answers {
@@ -1924,7 +1866,7 @@ mod tests {
         assert!(!g.is_live(victim));
         assert_eq!(g.live_len(), 95);
         assert_eq!(g.len(), 96, "dense indices are never reused");
-        g.check_invariants();
+        g.check_invariants().expect("grid invariants");
         // Departed peers are neither responsible nor routable.
         for t in 0..120u32 {
             let key = crate::record::key_for_peer(PeerId(t), g.config().key_bits);
@@ -1960,7 +1902,7 @@ mod tests {
                 g.join(&mut rng);
             }
         }
-        g.check_invariants();
+        g.check_invariants().expect("grid invariants");
         assert!(g.live_len() >= 4);
     }
 
@@ -1994,7 +1936,7 @@ mod tests {
         assert_eq!(survivors, (0..91).collect::<Vec<u32>>());
         assert_eq!(g.len(), 91, "tombstones reclaimed");
         assert_eq!(g.live_len(), 91);
-        g.check_invariants();
+        g.check_invariants().expect("grid invariants");
         // The same replica group (by path) serves the key, and the stored
         // complaint survived the renumbering.
         let responsible_after: Vec<BitPath> = g
@@ -2040,7 +1982,7 @@ mod tests {
             // freshly compacted (renumbered) arena.
             g.repair(&vec![true; g.len()], g.len(), &mut rng);
         }
-        g.check_invariants();
+        g.check_invariants().expect("grid invariants");
         // 640 joins later the overlay still routes.
         let mut resolved = 0;
         for t in 0..60u32 {

@@ -32,7 +32,7 @@ pub struct TallyReport {
 pub struct ReputationConfig {
     /// P-Grid parameters.
     pub grid: PGridConfig,
-    /// Network parameters (latency/drops) for storage traffic.
+    /// Network parameters (latency) for storage traffic.
     pub net: NetConfig,
 }
 

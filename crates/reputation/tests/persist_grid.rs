@@ -12,7 +12,7 @@ use proptest::prelude::*;
 use trustex_netsim::net::{NetConfig, Network};
 use trustex_netsim::rng::SimRng;
 use trustex_persist::codec::ByteWriter;
-use trustex_persist::snapshot::{from_bytes, to_bytes, Persistable, SnapshotWriter};
+use trustex_persist::snapshot::{from_bytes, to_bytes, Persistable, SnapshotWriter, VALUE_MAGIC};
 use trustex_persist::PersistError;
 use trustex_reputation::pgrid::{PGrid, PGridConfig};
 use trustex_reputation::record::{key_for_peer, Complaint};
@@ -63,7 +63,7 @@ fn grid_with_history(
 fn check_grid_round_trip(grid: &PGrid, rng: &SimRng) {
     let blob = to_bytes(grid);
     let restored: PGrid = from_bytes(&blob).expect("own snapshot must restore");
-    restored.check_invariants();
+    restored.check_invariants().expect("grid invariants");
     assert_eq!(to_bytes(&restored), blob, "re-encode must be canonical");
 
     assert_eq!(restored.len(), grid.len());
@@ -149,8 +149,8 @@ proptest! {
         let alive: Vec<bool> = (0..live.len()).map(|i| live.is_live(i)).collect();
         live.repair(&alive, live.len(), &mut rng_a);
         restored.repair(&alive, restored.len(), &mut rng_b);
-        live.check_invariants();
-        restored.check_invariants();
+        live.check_invariants().expect("grid invariants");
+        restored.check_invariants().expect("grid invariants");
         prop_assert_eq!(to_bytes(&live), to_bytes(&restored));
     }
 }
@@ -195,7 +195,7 @@ fn resealed_payload_tampering_never_yields_a_broken_grid() {
         let mut w = SnapshotWriter::new(*b"TXPS");
         w.raw_section(<PGrid as Persistable>::TAG, tampered);
         match from_bytes::<PGrid>(&w.into_bytes()) {
-            Ok(restored) => restored.check_invariants(),
+            Ok(restored) => restored.check_invariants().expect("grid invariants"),
             Err(
                 PersistError::Invalid { .. }
                 | PersistError::Malformed { .. }
@@ -215,4 +215,53 @@ fn resealed_payload_tampering_never_yields_a_broken_grid() {
         "only {rejected}/{} tampers rejected — is validate_restored wired?",
         payload.len()
     );
+}
+
+/// Each config bound is one rule: a grid payload whose config carries
+/// one out-of-range field, resealed under a valid CRC, decodes as
+/// `Invalid`, and `PGrid::build` panics on the same config naming the
+/// same bound.
+#[test]
+fn resealed_out_of_range_configs_decode_as_invalid() {
+    let narrow = PGridConfig {
+        max_depth: 3,
+        ..PGridConfig::default()
+    };
+    let wide = PGridConfig {
+        key_bits: 32,
+        ..narrow
+    };
+    type BreakOneField = fn(&mut PGridConfig);
+    let cases: [(&str, PGridConfig, BreakOneField); 7] = [
+        ("key_bits = 0", narrow, |c| c.key_bits = 0),
+        ("key_bits = 33", narrow, |c| c.key_bits = 33),
+        ("max_depth = 0", narrow, |c| c.max_depth = 0),
+        ("max_depth > key_bits", narrow, |c| c.max_depth = 17),
+        ("max_depth > arena limit", wide, |c| c.max_depth = 21),
+        ("max_refs = 0", narrow, |c| c.max_refs = 0),
+        ("max_refs = 257", narrow, |c| c.max_refs = 257),
+    ];
+    for (what, base, break_one_field) in cases {
+        let mut bad = base;
+        break_one_field(&mut bad);
+        // The payload opens with key_bits:u8 max_depth:u8 max_refs:u64.
+        let mut header = ByteWriter::new();
+        header.put_u8(bad.key_bits);
+        header.put_u8(bad.max_depth);
+        header.put_u64(bad.max_refs as u64);
+        let header = header.into_bytes();
+        let mut payload = ByteWriter::new();
+        PGrid::build(16, base, &mut SimRng::new(5)).encode_state(&mut payload);
+        let mut payload = payload.into_bytes();
+        payload[..header.len()].copy_from_slice(&header);
+        let mut w = SnapshotWriter::new(VALUE_MAGIC);
+        w.raw_section(<PGrid as Persistable>::TAG, payload);
+        let context = match from_bytes::<PGrid>(&w.into_bytes()) {
+            Err(PersistError::Invalid { context }) => context,
+            other => panic!("{what}: expected Invalid, got {other:?}"),
+        };
+        let panic = std::panic::catch_unwind(|| PGrid::build(4, bad, &mut SimRng::new(0)))
+            .expect_err("build accepted an out-of-range config");
+        assert_eq!(panic.downcast_ref::<String>().unwrap(), context, "{what}");
+    }
 }

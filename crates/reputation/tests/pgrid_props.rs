@@ -193,7 +193,7 @@ proptest! {
                 grid.leave(live[rng.index(live.len())]);
             }
         }
-        grid.check_invariants();
+        grid.check_invariants().expect("grid invariants");
         let key = Key::from_bits(key_raw & 0xFFFF);
         // Exact agreement with the naive scan; note coverage itself can
         // be lost under churn (when a whole replica group departs, its
@@ -230,7 +230,7 @@ proptest! {
         for _ in 0..joins {
             grid.join(&mut rng);
         }
-        grid.check_invariants();
+        grid.check_invariants().expect("grid invariants");
         let result = grid.query(1, key, None, &mut net, &mut rng);
         prop_assume!(result.is_resolved());
         for (member, items) in &result.answers {

@@ -14,10 +14,12 @@
 //!    never an `Ok`.
 
 use proptest::prelude::*;
-use trustex_persist::snapshot::{from_bytes, to_bytes, Persistable};
+use trustex_persist::codec::ByteWriter;
+use trustex_persist::snapshot::{from_bytes, to_bytes, Persistable, SnapshotWriter, VALUE_MAGIC};
+use trustex_persist::PersistError;
 use trustex_trust::baselines::{EwmaTrust, MeanTrust};
-use trustex_trust::beta::BetaTrust;
-use trustex_trust::complaints::ComplaintTrust;
+use trustex_trust::beta::{BetaConfig, BetaTrust};
+use trustex_trust::complaints::{ComplaintConfig, ComplaintTrust};
 use trustex_trust::engine::{TrustEngine, TrustEvent};
 use trustex_trust::evidence_log::{EvidenceLog, EvidenceRecord};
 use trustex_trust::model::{Conduct, PeerId, TrustEstimate, TrustModel, WitnessReport};
@@ -269,7 +271,6 @@ fn engine_corruption_matrix() {
 /// not guessed at.
 #[test]
 fn future_version_is_refused() {
-    use trustex_persist::PersistError;
     let blob = to_bytes(&workout(MeanTrust::new()));
     let mut future = blob.clone();
     future[4] = future[4].wrapping_add(1); // version lives after the 4-byte magic
@@ -277,4 +278,92 @@ fn future_version_is_refused() {
         from_bytes::<MeanTrust>(&future),
         Err(PersistError::UnsupportedVersion { .. })
     ));
+}
+
+/// Encodes `value`, overwrites the bytes at `offset` with `patch`,
+/// reseals the payload under a valid CRC and decodes it again.
+fn reseal<T: Persistable>(value: &T, offset: usize, patch: &[u8]) -> Result<T, PersistError> {
+    let mut payload = ByteWriter::new();
+    value.encode_state(&mut payload);
+    let mut payload = payload.into_bytes();
+    payload[offset..offset + patch.len()].copy_from_slice(patch);
+    let mut w = SnapshotWriter::new(VALUE_MAGIC);
+    w.raw_section(T::TAG, payload);
+    from_bytes::<T>(&w.into_bytes())
+}
+
+/// Runs a constructor that must panic and returns its panic message.
+fn panic_message(construct: impl FnOnce() + std::panic::UnwindSafe) -> String {
+    let payload = std::panic::catch_unwind(construct).expect_err("constructor accepted the value");
+    *payload
+        .downcast::<String>()
+        .expect("a formatted panic message")
+}
+
+/// Each config bound is one rule: a finite out-of-range value resealed
+/// into a checksummed snapshot decodes as `Invalid`, and the constructor
+/// panics on the same value, and on NaN, naming the same bound.
+#[test]
+fn resealed_out_of_range_configs_decode_as_invalid() {
+    fn check<T: Persistable + std::fmt::Debug>(
+        what: &str,
+        decoded: Result<T, PersistError>,
+        construct: impl Fn(f64) + std::panic::RefUnwindSafe,
+        bad: f64,
+    ) {
+        let context = match decoded {
+            Err(PersistError::Invalid { context }) => context,
+            other => panic!("{what} = {bad}: expected Invalid, got {other:?}"),
+        };
+        assert_eq!(panic_message(|| construct(bad)), context, "{what} = {bad}");
+        assert_eq!(
+            panic_message(|| construct(f64::NAN)),
+            context,
+            "{what} = NaN"
+        );
+    }
+
+    /// Writes one config field.
+    type SetField<C> = fn(&mut C, f64);
+
+    // Beta payload: prior_honest, prior_dishonest, forgetting,
+    // witness_weight, witness_prior — one f64 each, in that order.
+    let beta_fields: [(&str, usize, f64, SetField<BetaConfig>); 6] = [
+        ("prior_honest", 0, 0.0, |c, v| c.prior_honest = v),
+        ("prior_dishonest", 8, -1.0, |c, v| c.prior_dishonest = v),
+        ("forgetting", 16, 1.5, |c, v| c.forgetting = v),
+        ("forgetting", 16, 0.0, |c, v| c.forgetting = v),
+        ("witness_weight", 24, -0.25, |c, v| c.witness_weight = v),
+        ("witness_prior", 32, 1.25, |c, v| c.witness_prior = v),
+    ];
+    for (what, offset, bad, set) in beta_fields {
+        let decoded = reseal(&BetaTrust::new(), offset, &bad.to_le_bytes());
+        let construct = move |v: f64| {
+            let mut cfg = BetaConfig::default();
+            set(&mut cfg, v);
+            BetaTrust::with_config(cfg);
+        };
+        check(what, decoded, construct, bad);
+    }
+
+    // Complaint payload: outlier_factor, witness_weight.
+    let complaint_fields: [(&str, usize, f64, SetField<ComplaintConfig>); 2] = [
+        ("outlier_factor", 0, 0.5, |c, v| c.outlier_factor = v),
+        ("witness_weight", 8, 1.5, |c, v| c.witness_weight = v),
+    ];
+    for (what, offset, bad, set) in complaint_fields {
+        let decoded = reseal(&ComplaintTrust::new(), offset, &bad.to_le_bytes());
+        let construct = move |v: f64| {
+            let mut cfg = ComplaintConfig::default();
+            set(&mut cfg, v);
+            ComplaintTrust::with_config(cfg);
+        };
+        check(what, decoded, construct, bad);
+    }
+
+    // EWMA payload: rate first.
+    for bad in [0.0f64, 1.5] {
+        let decoded = reseal(&EwmaTrust::new(0.3), 0, &bad.to_le_bytes());
+        check("rate", decoded, |v| drop(EwmaTrust::new(v)), bad);
+    }
 }

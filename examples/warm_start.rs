@@ -44,7 +44,7 @@ fn main() -> Result<(), PersistError> {
 
     // Re-verify: structural invariants, identical routes, identical
     // trust rows, identical bytes.
-    grid2.check_invariants();
+    grid2.check_invariants().expect("grid invariants");
     let mut net_a = Network::new(NetConfig::default());
     let mut net_b = Network::new(NetConfig::default());
     let mut rng_a = rng.clone();
