@@ -7,7 +7,7 @@
 use trustex_core::execute::{max_future_temptation, DefectionOracle};
 use trustex_core::money::Money;
 use trustex_core::sequence::Action;
-use trustex_core::state::{Role, StateView};
+use trustex_core::state::{Progress, Role};
 use trustex_netsim::rng::SimRng;
 
 /// How an agent behaves inside exchanges.
@@ -120,7 +120,7 @@ impl DefectionOracle for BehaviorOracle<'_> {
         &mut self,
         role: Role,
         temptation: Money,
-        view: &StateView<'_>,
+        progress: &Progress<'_>,
         upcoming: &[Action],
     ) -> bool {
         match self.behavior {
@@ -128,7 +128,7 @@ impl DefectionOracle for BehaviorOracle<'_> {
             ExchangeBehavior::Rational { stake_micros } => {
                 // Schedule-aware: strike only at the temptation peak.
                 temptation > Money::from_micros(stake_micros)
-                    && temptation >= max_future_temptation(role, view, upcoming)
+                    && temptation >= max_future_temptation(role, progress, upcoming)
             }
             ExchangeBehavior::Stochastic { defect_prob } => {
                 // Myopic: flips a coin at every profitable opportunity.
@@ -137,7 +137,7 @@ impl DefectionOracle for BehaviorOracle<'_> {
             ExchangeBehavior::ExitScam { honest_rounds } => {
                 self.round >= honest_rounds
                     && temptation.is_positive()
-                    && temptation >= max_future_temptation(role, view, upcoming)
+                    && temptation >= max_future_temptation(role, progress, upcoming)
             }
             ExchangeBehavior::Oscillating {
                 period,
@@ -147,7 +147,7 @@ impl DefectionOracle for BehaviorOracle<'_> {
                 let in_defect_phase = self.round % period >= period - defect_rounds.min(period);
                 in_defect_phase
                     && temptation.is_positive()
-                    && temptation >= max_future_temptation(role, view, upcoming)
+                    && temptation >= max_future_temptation(role, progress, upcoming)
             }
         }
     }

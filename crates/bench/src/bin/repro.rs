@@ -4,23 +4,20 @@
 //! cargo run --release -p trustex-bench --bin repro            # all, paper scale
 //! cargo run --release -p trustex-bench --bin repro -- --smoke # all, smoke scale
 //! cargo run --release -p trustex-bench --bin repro -- e4 e6   # a subset
-//! cargo run --release -p trustex-bench --bin repro -- --only e5,e8,e9
 //! cargo run --release -p trustex-bench --bin repro -- --threads 8
+//! cargo run --release -p trustex-bench --bin repro -- --bench-out BENCH_repro.json
 //! ```
 //!
-//! `--only ID[,ID...]` selects a comma-separated subset in one flag —
-//! the form perf iteration on a hot path wants (e.g. `--only e6`
-//! isolates the P-Grid overlay ladder, `--only e5,e8,e9` the trust
-//! layer); it composes with positional ids and rejects unknown or empty
-//! ids with exit code 2 before any work runs.
+//! Positional ids select a subset (e.g. `e6` isolates the P-Grid overlay
+//! ladder, `e5 e8 e9` the trust layer); unknown or duplicate ids are
+//! rejected with exit code 2 before any work runs.
 //!
 //! `--threads N` pins the worker-pool size used by the arm-parallel
 //! experiment runner and the sharded market simulator (default: detected
-//! parallelism; results are identical for every value). Each run also
-//! writes per-experiment wall-clock timings to `BENCH_repro.json`
-//! (override the path with `--bench-out PATH`), a flat JSON object
-//! mapping experiment id → milliseconds, so CI can track the perf
-//! trajectory per PR.
+//! parallelism; results are identical for every value).
+//! `--bench-out PATH` writes per-experiment wall-clock timings to `PATH`,
+//! a flat JSON object mapping experiment id → milliseconds, so CI can
+//! track the perf trajectory per PR. Without it no file is written.
 //!
 //! Every table except E2 and E12 is a pure function of its seed
 //! (bit-identical for any `--threads`). E2 is the scheduler scaling
@@ -38,15 +35,13 @@ use trustex_netsim::pool::{default_threads, set_default_threads};
 struct Args {
     smoke: bool,
     threads: usize,
-    bench_out: String,
+    bench_out: Option<String>,
     ids: Vec<String>,
 }
 
 fn usage_exit(message: &str) -> ! {
     eprintln!("{message}");
-    eprintln!(
-        "usage: repro [--smoke] [--threads N] [--bench-out PATH] [--only ID[,ID...]] [id...]"
-    );
+    eprintln!("usage: repro [--smoke] [--threads N] [--bench-out PATH] [id...]");
     eprintln!(
         "known ids: {}",
         ALL.iter().map(|e| e.id).collect::<Vec<_>>().join(", ")
@@ -58,7 +53,7 @@ fn parse_args(raw: Vec<String>) -> Args {
     let mut args = Args {
         smoke: false,
         threads: 0,
-        bench_out: "BENCH_repro.json".to_owned(),
+        bench_out: None,
         ids: Vec::new(),
     };
     let mut iter = raw.into_iter();
@@ -75,25 +70,10 @@ fn parse_args(raw: Vec<String>) -> Args {
                 };
             }
             "--bench-out" => {
-                args.bench_out = iter
-                    .next()
-                    .unwrap_or_else(|| usage_exit("--bench-out requires a path"));
-            }
-            "--only" => {
-                let value = iter
-                    .next()
-                    .unwrap_or_else(|| usage_exit("--only requires a comma-separated id list"));
-                let before = args.ids.len();
-                for id in value.split(',') {
-                    let id = id.trim();
-                    if id.is_empty() {
-                        usage_exit(&format!("--only has an empty experiment id: {value:?}"));
-                    }
-                    args.ids.push(id.to_owned());
-                }
-                if args.ids.len() == before {
-                    usage_exit("--only requires at least one experiment id");
-                }
+                args.bench_out = Some(
+                    iter.next()
+                        .unwrap_or_else(|| usage_exit("--bench-out requires a path")),
+                );
             }
             other if other.starts_with("--") => {
                 usage_exit(&format!("unknown flag: {other}"));
@@ -118,9 +98,9 @@ fn main() {
     let selected: Vec<_> = if args.ids.is_empty() {
         ALL.iter().collect()
     } else {
-        // Duplicates (positional or via --only) would run an experiment
-        // twice and emit duplicate keys in the timings JSON — reject
-        // them up front like unknown ids.
+        // Duplicates would run an experiment twice and emit duplicate
+        // keys in the timings JSON — reject them up front like unknown
+        // ids.
         let mut seen: Vec<&str> = Vec::with_capacity(args.ids.len());
         args.ids
             .iter()
@@ -149,12 +129,13 @@ fn main() {
         println!("{}", table.render());
     }
 
-    let json = timings_to_json(&timings);
-    match std::fs::write(&args.bench_out, &json) {
-        Ok(()) => eprintln!("wall-clock timings written to {}", args.bench_out),
-        Err(err) => {
-            eprintln!("failed to write {}: {err}", args.bench_out);
-            std::process::exit(1);
+    if let Some(path) = &args.bench_out {
+        match std::fs::write(path, timings_to_json(&timings)) {
+            Ok(()) => eprintln!("wall-clock timings written to {path}"),
+            Err(err) => {
+                eprintln!("failed to write {path}: {err}");
+                std::process::exit(1);
+            }
         }
     }
 }

@@ -4,7 +4,7 @@
 //! over: once in-process through the experiment registry (so a failure
 //! points at the experiment that broke), and once by spawning the actual
 //! `repro` binary (so the CLI surface — flag parsing, experiment
-//! selection, exit codes — stays covered too).
+//! selection, exit codes, the timings file — stays covered too).
 
 use std::process::Command;
 use trustex_bench::{find, render_block, Scale, ALL};
@@ -58,12 +58,25 @@ impl Drop for ScratchDir {
 
 /// The real binary completes `--smoke` (with an explicit thread count),
 /// prints every experiment's tag and writes machine-readable wall-clock
-/// timings to `BENCH_repro.json`.
+/// timings to the `--bench-out` path — and writes no file without it.
 #[test]
 fn repro_binary_smoke_run_succeeds_and_emits_timings() {
     let scratch = ScratchDir::new("full");
+    let quiet = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["--smoke", "e5"])
+        .current_dir(&scratch.0)
+        .output()
+        .expect("failed to spawn repro binary");
+    assert!(quiet.status.success());
+    assert_eq!(
+        std::fs::read_dir(&scratch.0).expect("scratch dir").count(),
+        0,
+        "a run without --bench-out must write no file"
+    );
+    let out_path = scratch.0.join("BENCH_repro.json");
     let output = Command::new(env!("CARGO_BIN_EXE_repro"))
-        .args(["--smoke", "--threads", "2"])
+        .args(["--smoke", "--threads", "2", "--bench-out"])
+        .arg(&out_path)
         .current_dir(&scratch.0)
         .output()
         .expect("failed to spawn repro binary");
@@ -82,8 +95,7 @@ fn repro_binary_smoke_run_succeeds_and_emits_timings() {
             experiment.id
         );
     }
-    let json = std::fs::read_to_string(scratch.0.join("BENCH_repro.json"))
-        .expect("repro must write BENCH_repro.json");
+    let json = std::fs::read_to_string(&out_path).expect("repro must write --bench-out");
     assert!(json.trim_start().starts_with('{') && json.trim_end().ends_with('}'));
     for experiment in &ALL {
         assert!(
@@ -118,54 +130,16 @@ fn repro_binary_bench_out_subset() {
     );
 }
 
-/// `--only` runs exactly the comma-separated subset — the targeted form
-/// perf iteration uses (`--only e5,e8,e9` skips the expensive e6) — and
-/// composes with `--bench-out`.
-#[test]
-fn repro_binary_only_runs_exactly_the_listed_subset() {
-    let scratch = ScratchDir::new("only");
-    let out_path = scratch.0.join("timings.json");
-    let output = Command::new(env!("CARGO_BIN_EXE_repro"))
-        .args(["--smoke", "--only", "e5,e9", "--bench-out"])
-        .arg(&out_path)
-        .current_dir(&scratch.0)
-        .output()
-        .expect("failed to spawn repro binary");
-    assert!(
-        output.status.success(),
-        "repro --only exited with {:?}\nstderr: {}",
-        output.status.code(),
-        String::from_utf8_lossy(&output.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&output.stdout);
-    let json = std::fs::read_to_string(&out_path).expect("bench-out written");
-    for ran in ["e5", "e9"] {
-        assert!(stdout.contains(&format!("[{ran}]")), "{ran} missing");
-        assert!(json.contains(&format!("\"{ran}\": ")), "{ran} not timed");
-    }
-    for skipped in ["e0", "e6", "e8"] {
-        assert!(
-            !stdout.contains(&format!("[{skipped}]")),
-            "{skipped} ran despite --only"
-        );
-        assert!(!json.contains(&format!("\"{skipped}\"")));
-    }
-}
-
-/// Unknown, empty or missing `--only` ids are rejected with exit code 2
+/// Unknown and duplicate experiment ids are rejected with exit code 2
 /// before any experiment runs.
 #[test]
-fn repro_binary_only_rejects_bad_id_lists() {
-    let scratch = ScratchDir::new("only_bad");
+fn repro_binary_rejects_unknown_id() {
+    let scratch = ScratchDir::new("bad_id");
     for (args, needle) in [
-        (&["--only", "e5,e99"][..], "unknown experiment id"),
-        (&["--only", "e5,,e9"][..], "empty experiment id"),
-        (&["--only", ""][..], "empty experiment id"),
-        (&["--only"][..], "--only requires"),
+        (&["--smoke", "e99"][..], "unknown experiment id"),
         // Duplicates would run an experiment twice and write duplicate
         // keys into the timings JSON.
-        (&["--only", "e5,e5"][..], "duplicate experiment id"),
-        (&["e5", "--only", "e5"][..], "duplicate experiment id"),
+        (&["e5", "e5"][..], "duplicate experiment id"),
     ] {
         let output = Command::new(env!("CARGO_BIN_EXE_repro"))
             .args(args)
@@ -183,20 +157,6 @@ fn repro_binary_only_rejects_bad_id_lists() {
             "args {args:?}: work ran before the rejection"
         );
     }
-}
-
-/// Unknown experiment ids are rejected with exit code 2.
-#[test]
-fn repro_binary_rejects_unknown_id() {
-    let scratch = ScratchDir::new("bad_id");
-    let output = Command::new(env!("CARGO_BIN_EXE_repro"))
-        .args(["--smoke", "e99"])
-        .current_dir(&scratch.0)
-        .output()
-        .expect("failed to spawn repro binary");
-    assert_eq!(output.status.code(), Some(2));
-    let stderr = String::from_utf8_lossy(&output.stderr);
-    assert!(stderr.contains("unknown experiment id"));
 }
 
 /// Malformed flags are rejected with exit code 2 before any work runs.

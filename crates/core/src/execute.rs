@@ -14,7 +14,7 @@
 use crate::deal::Deal;
 use crate::money::Money;
 use crate::sequence::{Action, ExchangeSequence};
-use crate::state::{Progress, Role, StateView};
+use crate::state::{Progress, Role};
 
 /// Decides whether a party walks away at the current state.
 ///
@@ -33,7 +33,7 @@ pub trait DefectionOracle {
         &mut self,
         role: Role,
         temptation: Money,
-        view: &StateView<'_>,
+        progress: &Progress<'_>,
         upcoming: &[Action],
     ) -> bool;
 }
@@ -44,31 +44,14 @@ pub trait DefectionOracle {
 ///
 /// This is the quantity a schedule-aware rational agent compares its
 /// outside stake against: defecting before the peak leaves money on the
-/// table.
-pub fn max_future_temptation(role: Role, view: &StateView<'_>, upcoming: &[Action]) -> Money {
-    let deal = view.deal();
-    let mut paid = view.state().paid();
-    let mut delivered_value = view.state().delivered_value();
-    let mut delivered_cost = view.state().delivered_cost();
-    let temptation = |paid: Money, dv: Money, dc: Money| -> Money {
-        match role {
-            // (Vc(D) − m) − (Vc(G) − P)
-            Role::Consumer => (dv - paid) - deal.consumer_surplus(),
-            // (m − Vs(D)) − (P − Vs(G))
-            Role::Supplier => (paid - dc) - deal.supplier_profit(),
-        }
-    };
-    let mut best = temptation(paid, delivered_value, delivered_cost);
+/// table. It walks a copy of `progress`'s running totals through the
+/// schedule, so it allocates nothing.
+pub fn max_future_temptation(role: Role, progress: &Progress<'_>, upcoming: &[Action]) -> Money {
+    let mut totals = progress.totals();
+    let mut best = totals.temptation(role);
     for action in upcoming {
-        match action {
-            Action::Pay(amount) => paid += *amount,
-            Action::Deliver(id) => {
-                let item = deal.goods().item(*id);
-                delivered_value += item.consumer_value();
-                delivered_cost += item.supplier_cost();
-            }
-        }
-        best = best.max(temptation(paid, delivered_value, delivered_cost));
+        totals.add(action);
+        best = best.max(totals.temptation(role));
     }
     best
 }
@@ -82,7 +65,7 @@ impl DefectionOracle for Honest {
         &mut self,
         _role: Role,
         _temptation: Money,
-        _view: &StateView<'_>,
+        _progress: &Progress<'_>,
         _upcoming: &[Action],
     ) -> bool {
         false
@@ -105,14 +88,14 @@ impl DefectionOracle for RationalDefector {
         &mut self,
         role: Role,
         temptation: Money,
-        view: &StateView<'_>,
+        progress: &Progress<'_>,
         upcoming: &[Action],
     ) -> bool {
         if temptation <= self.stake {
             return false;
         }
         // Worth defecting eventually — but only strike at the peak.
-        temptation >= max_future_temptation(role, view, upcoming)
+        temptation >= max_future_temptation(role, progress, upcoming)
     }
 }
 
@@ -122,16 +105,16 @@ pub struct OracleFn<F>(pub F);
 
 impl<F> DefectionOracle for OracleFn<F>
 where
-    F: FnMut(Role, Money, &StateView<'_>, &[Action]) -> bool,
+    F: FnMut(Role, Money, &Progress<'_>, &[Action]) -> bool,
 {
     fn defects(
         &mut self,
         role: Role,
         temptation: Money,
-        view: &StateView<'_>,
+        progress: &Progress<'_>,
         upcoming: &[Action],
     ) -> bool {
-        (self.0)(role, temptation, view, upcoming)
+        (self.0)(role, temptation, progress, upcoming)
     }
 }
 
@@ -218,14 +201,11 @@ pub fn execute(
         if let Some(by) = consult(&progress, supplier, consumer, &actions[step..]) {
             return outcome_at(&progress, ExchangeStatus::Aborted { by, at_step: step });
         }
-        match action {
-            Action::Deliver(id) => progress
-                .deliver(*id)
-                .expect("invalid delivery in executed sequence"),
-            Action::Pay(amount) => progress
-                .pay(*amount)
-                .expect("invalid payment in executed sequence"),
-        }
+        let invalid = match action {
+            Action::Deliver(_) => "invalid delivery in executed sequence",
+            Action::Pay(_) => "invalid payment in executed sequence",
+        };
+        progress.apply(action).expect(invalid);
     }
     // Final defection opportunity is moot: at completion both temptations
     // are zero, but consult anyway for oracles with non-rational logic.
@@ -242,15 +222,17 @@ pub fn execute(
 }
 
 /// Asks both oracles in temptation order; returns the defector, if any.
+// Called before every action; left to the inliner's default, it stays a
+// call and `execute` runs measurably slower.
+#[inline]
 fn consult(
     progress: &Progress<'_>,
     supplier: &mut dyn DefectionOracle,
     consumer: &mut dyn DefectionOracle,
     upcoming: &[Action],
 ) -> Option<Role> {
-    let view = progress.view();
-    let ts = view.supplier_temptation();
-    let tc = view.consumer_temptation();
+    let ts = progress.temptation(Role::Supplier);
+    let tc = progress.temptation(Role::Consumer);
     let first_supplier = ts >= tc;
     let order: [Role; 2] = if first_supplier {
         [Role::Supplier, Role::Consumer]
@@ -262,7 +244,7 @@ fn consult(
             Role::Supplier => (supplier, ts),
             Role::Consumer => (consumer, tc),
         };
-        if oracle.defects(role, temptation, &view, upcoming) {
+        if oracle.defects(role, temptation, progress, upcoming) {
             return Some(role);
         }
     }
@@ -270,13 +252,12 @@ fn consult(
 }
 
 fn outcome_at(progress: &Progress<'_>, status: ExchangeStatus) -> ExchangeOutcome {
-    let view = progress.view();
     ExchangeOutcome {
         status,
-        supplier_gain: view.supplier_defect_gain(),
-        consumer_gain: view.consumer_defect_gain(),
-        items_delivered: progress.state().delivered_count(),
-        amount_paid: progress.state().paid(),
+        supplier_gain: progress.defect_gain(Role::Supplier),
+        consumer_gain: progress.defect_gain(Role::Consumer),
+        items_delivered: progress.delivered_count(),
+        amount_paid: progress.paid(),
     }
 }
 
@@ -391,7 +372,7 @@ mod tests {
         let seq = scheduled(&d, 4.0);
         let mut calls = 0usize;
         {
-            let mut oracle = OracleFn(|_role, _t: Money, _v: &StateView<'_>, _u: &[Action]| {
+            let mut oracle = OracleFn(|_role, _t: Money, _p: &Progress<'_>, _u: &[Action]| {
                 calls += 1;
                 false
             });

@@ -14,7 +14,10 @@
 //! total price `P` ([`deal::Deal`]). Both parties know the supplier's
 //! per-item cost `Vs(x)` and the consumer's per-item value `Vc(x)`
 //! ([`goods::Goods`]). Deliveries are item-at-a-time; payments may be
-//! chunked arbitrarily ([`sequence::Action`]). After every step the
+//! chunked arbitrarily ([`sequence::Action`]). One type,
+//! [`state::Progress`], holds an exchange's state (the delivered items
+//! and the money paid), applies each action to it and derives both
+//! parties' gains and temptations. After every step the
 //! outstanding payment must stay within a window derived from the
 //! remaining cost and remaining value ([`safety`]); the window may be
 //! widened by the exposure bounds `ε_s`, `ε_c` each party accepts based
@@ -81,5 +84,5 @@ pub mod prelude {
         feasible, min_required_margin, schedule, Algorithm, ScheduleError, Scheduler,
     };
     pub use crate::sequence::{verify, Action, ExchangeSequence, VerifiedSequence, VerifyError};
-    pub use crate::state::{ExchangeState, Progress, Role, StateView};
+    pub use crate::state::{Progress, Role};
 }

@@ -29,7 +29,7 @@
 //! With `ε_s = ε_c = 0` this degenerates to the fully safe window.
 
 use crate::money::Money;
-use crate::state::{Role, StateView};
+use crate::state::{Progress, Role};
 use std::fmt;
 
 /// The exposure bounds each party accepts, derived from trust.
@@ -181,11 +181,11 @@ impl SafetyWindow {
     }
 }
 
-/// Evaluates the (relaxed) safety window at the state in `view`.
-pub fn window_at(view: &StateView<'_>, margins: SafetyMargins) -> SafetyWindow {
+/// Evaluates the (relaxed) safety window at the state of `progress`.
+pub fn window_at(progress: &Progress<'_>, margins: SafetyMargins) -> SafetyWindow {
     SafetyWindow {
-        min_outstanding: view.remaining_cost() - margins.eps_consumer(),
-        max_outstanding: view.remaining_value() + margins.eps_supplier(),
+        min_outstanding: progress.remaining_cost() - margins.eps_consumer(),
+        max_outstanding: progress.remaining_value() + margins.eps_supplier(),
     }
 }
 
@@ -211,14 +211,14 @@ impl SafetyCheck {
     }
 }
 
-/// Checks the state in `view` against the margins.
+/// Checks the state of `progress` against the margins.
 ///
 /// When both temptations are violated (possible only for inconsistent
 /// deals, since the two bounds move in opposite directions with `R`), the
 /// larger excess is reported.
-pub fn check(view: &StateView<'_>, margins: SafetyMargins) -> SafetyCheck {
-    let tc = view.consumer_temptation() - margins.eps_supplier();
-    let ts = view.supplier_temptation() - margins.eps_consumer();
+pub fn check(progress: &Progress<'_>, margins: SafetyMargins) -> SafetyCheck {
+    let tc = progress.temptation(Role::Consumer) - margins.eps_supplier();
+    let ts = progress.temptation(Role::Supplier) - margins.eps_consumer();
     let worst = tc.max(ts);
     if !worst.is_positive() {
         SafetyCheck::Safe
@@ -240,7 +240,7 @@ mod tests {
     use super::*;
     use crate::deal::Deal;
     use crate::goods::Goods;
-    use crate::state::Progress;
+    use crate::sequence::Action;
 
     fn deal() -> Deal {
         // Vs(G) = 6, Vc(G) = 12, P = 9.
@@ -276,14 +276,14 @@ mod tests {
     fn initial_state_is_safe_for_rational_deal() {
         let d = deal();
         let p = Progress::new(&d);
-        assert!(check(&p.view(), SafetyMargins::fully_safe()).is_safe());
+        assert!(check(&p, SafetyMargins::fully_safe()).is_safe());
     }
 
     #[test]
     fn window_at_initial_state() {
         let d = deal();
         let p = Progress::new(&d);
-        let w = window_at(&p.view(), SafetyMargins::fully_safe());
+        let w = window_at(&p, SafetyMargins::fully_safe());
         assert_eq!(w.min_outstanding, Money::from_units(6));
         assert_eq!(w.max_outstanding, Money::from_units(12));
         assert!(w.is_nonempty());
@@ -296,7 +296,7 @@ mod tests {
         let d = deal();
         let p = Progress::new(&d);
         let relaxed = SafetyMargins::symmetric(Money::from_units(2)).unwrap();
-        let w = window_at(&p.view(), relaxed);
+        let w = window_at(&p, relaxed);
         assert_eq!(w.min_outstanding, Money::from_units(4));
         assert_eq!(w.max_outstanding, Money::from_units(14));
     }
@@ -307,10 +307,10 @@ mod tests {
         let mut p = Progress::new(&d);
         // Deliver everything without payment: consumer holds 12 of value,
         // owes 9 -> T_c = R - remaining value = 9 - 0 = 9 > 0.
-        for id in d.goods().ids().collect::<Vec<_>>() {
-            p.deliver(id).unwrap();
+        for id in d.goods().ids() {
+            p.apply(&Action::Deliver(id)).unwrap();
         }
-        match check(&p.view(), SafetyMargins::fully_safe()) {
+        match check(&p, SafetyMargins::fully_safe()) {
             SafetyCheck::Violated { tempted, excess } => {
                 assert_eq!(tempted, Role::Consumer);
                 assert_eq!(excess, Money::from_units(9));
@@ -319,7 +319,7 @@ mod tests {
         }
         // A margin of 9 makes it admissible again.
         let wide = SafetyMargins::new(Money::from_units(9), Money::ZERO).unwrap();
-        assert!(check(&p.view(), wide).is_safe());
+        assert!(check(&p, wide).is_safe());
     }
 
     #[test]
@@ -328,8 +328,8 @@ mod tests {
         let mut p = Progress::new(&d);
         // Pay everything upfront: supplier holds 9, delivered nothing ->
         // T_s = Vs(G) - R = 6 - 0 = 6 > 0.
-        p.pay(Money::from_units(9)).unwrap();
-        match check(&p.view(), SafetyMargins::fully_safe()) {
+        p.apply(&Action::Pay(Money::from_units(9))).unwrap();
+        match check(&p, SafetyMargins::fully_safe()) {
             SafetyCheck::Violated { tempted, excess } => {
                 assert_eq!(tempted, Role::Supplier);
                 assert_eq!(excess, Money::from_units(6));
@@ -337,21 +337,20 @@ mod tests {
             SafetyCheck::Safe => panic!("expected violation"),
         }
         let wide = SafetyMargins::new(Money::ZERO, Money::from_units(6)).unwrap();
-        assert!(check(&p.view(), wide).is_safe());
+        assert!(check(&p, wide).is_safe());
     }
 
     #[test]
     fn check_matches_window_membership() {
         let d = deal();
         let mut p = Progress::new(&d);
-        p.pay(Money::from_units(3)).unwrap();
-        let v = p.view();
+        p.apply(&Action::Pay(Money::from_units(3))).unwrap();
         for eps in 0..4 {
             let m = SafetyMargins::symmetric(Money::from_units(eps)).unwrap();
-            let w = window_at(&v, m);
+            let w = window_at(&p, m);
             assert_eq!(
-                w.contains(v.outstanding()),
-                check(&v, m).is_safe(),
+                w.contains(p.outstanding()),
+                check(&p, m).is_safe(),
                 "eps={eps}"
             );
         }
@@ -362,12 +361,11 @@ mod tests {
         let d = deal();
         let mut p = Progress::new(&d);
         let ids: Vec<_> = d.goods().ids().collect();
-        p.deliver(ids[0]).unwrap(); // Vc=5 delivered, T_c = 9 - 7 = 2
-        let v = p.view();
-        assert_eq!(v.consumer_temptation(), Money::from_units(2));
+        p.apply(&Action::Deliver(ids[0])).unwrap(); // Vc=5 delivered, T_c = 9 - 7 = 2
+        assert_eq!(p.temptation(Role::Consumer), Money::from_units(2));
         let exact = SafetyMargins::new(Money::from_units(2), Money::ZERO).unwrap();
-        assert!(check(&v, exact).is_safe(), "bound is inclusive");
+        assert!(check(&p, exact).is_safe(), "bound is inclusive");
         let below = SafetyMargins::new(Money::from_f64(1.999999), Money::ZERO).unwrap();
-        assert!(!check(&v, below).is_safe());
+        assert!(!check(&p, below).is_safe());
     }
 }

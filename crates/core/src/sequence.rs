@@ -280,31 +280,27 @@ pub fn verify(
     let mut max_ts = Money::MIN;
 
     // Initial state check.
-    match check(&progress.view(), margins) {
+    match check(&progress, margins) {
         SafetyCheck::Safe => {}
         SafetyCheck::Violated { tempted, excess } => {
             return Err(VerifyError::UnsafeInitialState { tempted, excess });
         }
     }
-    max_tc = max_tc.max(progress.view().consumer_temptation());
-    max_ts = max_ts.max(progress.view().supplier_temptation());
+    max_tc = max_tc.max(progress.temptation(Role::Consumer));
+    max_ts = max_ts.max(progress.temptation(Role::Supplier));
 
     for (step, action) in sequence.actions().iter().enumerate() {
-        let applied = match action {
-            Action::Deliver(id) => progress.deliver(*id),
-            Action::Pay(amount) => progress.pay(*amount),
-        };
-        if let Err(source) = applied {
+        if let Err(source) = progress.apply(action) {
             return Err(VerifyError::InvalidAction { step, source });
         }
-        if progress.state().paid() > deal.price() {
+        if progress.paid() > deal.price() {
             return Err(VerifyError::Overpayment {
                 step,
-                paid: progress.state().paid(),
+                paid: progress.paid(),
                 price: deal.price(),
             });
         }
-        match check(&progress.view(), margins) {
+        match check(&progress, margins) {
             SafetyCheck::Safe => {}
             SafetyCheck::Violated { tempted, excess } => {
                 return Err(VerifyError::UnsafePrefix {
@@ -315,15 +311,15 @@ pub fn verify(
                 });
             }
         }
-        max_tc = max_tc.max(progress.view().consumer_temptation());
-        max_ts = max_ts.max(progress.view().supplier_temptation());
+        max_tc = max_tc.max(progress.temptation(Role::Consumer));
+        max_ts = max_ts.max(progress.temptation(Role::Supplier));
     }
 
     if !progress.is_complete() {
         return Err(VerifyError::Incomplete {
-            delivered: progress.state().delivered_count(),
+            delivered: progress.delivered_count(),
             total_items: deal.goods().len(),
-            paid: progress.state().paid(),
+            paid: progress.paid(),
             price: deal.price(),
         });
     }

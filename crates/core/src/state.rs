@@ -1,9 +1,10 @@
 //! Exchange state and the gain/temptation calculus.
 //!
 //! During an exchange the observable state is the set of delivered items
-//! and the money paid so far. From it, both parties' *defection gains*,
-//! *completion gains* and *temptations* are derived — the quantities the
-//! paper's safety conditions (§2) constrain.
+//! `D` and the money paid so far `m`. [`Progress`] holds that state for
+//! one deal, changes it one [`Action`] at a time, and derives from it
+//! both parties' *defection gains*, *completion gains* and *temptations*
+//! — the quantities the paper's safety conditions (§2) constrain.
 //!
 //! Sign conventions (all quantities are [`Money`], positive = better for
 //! the named party):
@@ -24,6 +25,7 @@
 use crate::deal::Deal;
 use crate::goods::ItemId;
 use crate::money::Money;
+use crate::sequence::Action;
 
 /// The two exchange roles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -58,7 +60,10 @@ impl std::fmt::Display for Role {
     }
 }
 
-/// Mutable state of one exchange in progress.
+/// One exchange in progress: the deal, the delivered set `D` and the
+/// money paid `m`, with every derived quantity of the calculus.
+///
+/// [`Progress::apply`] is the only way to change the state.
 ///
 /// # Examples
 ///
@@ -66,32 +71,83 @@ impl std::fmt::Display for Role {
 /// use trustex_core::deal::Deal;
 /// use trustex_core::goods::Goods;
 /// use trustex_core::money::Money;
-/// use trustex_core::state::ExchangeState;
+/// use trustex_core::sequence::Action;
+/// use trustex_core::state::Progress;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// use trustex_core::state::Progress;
 /// let goods = Goods::from_f64_pairs(&[(2.0, 5.0), (1.0, 4.0)])?;
 /// let deal = Deal::new(goods, Money::from_units(6))?;
 /// let mut p = Progress::new(&deal);
-/// assert_eq!(p.view().outstanding(), Money::from_units(6));
-/// p.pay(Money::from_units(4))?;
+/// assert_eq!(p.outstanding(), Money::from_units(6));
+/// p.apply(&Action::Pay(Money::from_units(4)))?;
 /// let id = deal.goods().ids().next().unwrap();
-/// p.deliver(id)?;
-/// assert_eq!(p.state().delivered_count(), 1);
-/// assert_eq!(p.view().outstanding(), Money::from_units(2));
+/// p.apply(&Action::Deliver(id))?;
+/// assert_eq!(p.delivered_count(), 1);
+/// assert_eq!(p.outstanding(), Money::from_units(2));
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ExchangeState {
+#[derive(Debug, Clone)]
+pub struct Progress<'a> {
+    totals: Totals<'a>,
     delivered: Vec<bool>,
+}
+
+/// The running totals of an exchange: everything in [`Progress`] but the
+/// delivered flags. It is `Copy`, so a forecast such as
+/// [`crate::execute::max_future_temptation`] can walk a schedule on a
+/// copy without allocating.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Totals<'a> {
+    deal: &'a Deal,
     delivered_count: usize,
     delivered_cost: Money,
     delivered_value: Money,
     paid: Money,
 }
 
-/// Error applying an action to an [`ExchangeState`].
+impl Totals<'_> {
+    /// Adds the effect of `action` without checking it: the item must
+    /// exist and not be delivered yet ([`Progress::apply`] checks both).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a delivered item id is out of range for the deal.
+    pub(crate) fn add(&mut self, action: &Action) {
+        match *action {
+            Action::Deliver(id) => {
+                let item = self.deal.goods().item(id);
+                self.delivered_count += 1;
+                // Value before cost: in the other order the compiler
+                // merges this add with the payment arm's and spills both
+                // sums to the stack in `max_future_temptation`'s loop.
+                self.delivered_value += item.consumer_value();
+                self.delivered_cost += item.supplier_cost();
+            }
+            Action::Pay(amount) => self.paid += amount,
+        }
+    }
+
+    fn defect_gain(&self, role: Role) -> Money {
+        match role {
+            Role::Supplier => self.paid - self.delivered_cost,
+            Role::Consumer => self.delivered_value - self.paid,
+        }
+    }
+
+    fn complete_gain(&self, role: Role) -> Money {
+        match role {
+            Role::Supplier => self.deal.supplier_profit(),
+            Role::Consumer => self.deal.consumer_surplus(),
+        }
+    }
+
+    pub(crate) fn temptation(&self, role: Role) -> Money {
+        self.defect_gain(role) - self.complete_gain(role)
+    }
+}
+
+/// Error applying an action to a [`Progress`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StateError {
     /// The item was already delivered.
@@ -116,179 +172,126 @@ impl std::fmt::Display for StateError {
 
 impl std::error::Error for StateError {}
 
-impl ExchangeState {
-    /// The initial state of a deal: nothing delivered, nothing paid.
-    pub fn new(deal: &Deal) -> ExchangeState {
-        ExchangeState {
+impl<'a> Progress<'a> {
+    /// The initial state of `deal`: nothing delivered, nothing paid.
+    pub fn new(deal: &'a Deal) -> Progress<'a> {
+        Progress {
+            totals: Totals {
+                deal,
+                delivered_count: 0,
+                delivered_cost: Money::ZERO,
+                delivered_value: Money::ZERO,
+                paid: Money::ZERO,
+            },
             delivered: vec![false; deal.goods().len()],
-            delivered_count: 0,
-            delivered_cost: Money::ZERO,
-            delivered_value: Money::ZERO,
-            paid: Money::ZERO,
         }
+    }
+
+    /// Applies one action.
+    ///
+    /// Overpaying beyond `P` is permitted here; the verifier rejects it
+    /// at the sequence level.
+    ///
+    /// # Errors
+    ///
+    /// [`StateError::UnknownItem`] or [`StateError::AlreadyDelivered`]
+    /// for a delivery, [`StateError::NonPositivePayment`] for a payment
+    /// of `≤ 0`. The state is unchanged on error.
+    pub fn apply(&mut self, action: &Action) -> Result<(), StateError> {
+        match *action {
+            Action::Deliver(id) => {
+                let flag = self
+                    .delivered
+                    .get_mut(id.index())
+                    .ok_or(StateError::UnknownItem(id))?;
+                if *flag {
+                    return Err(StateError::AlreadyDelivered(id));
+                }
+                *flag = true;
+            }
+            Action::Pay(amount) => {
+                if !amount.is_positive() {
+                    return Err(StateError::NonPositivePayment(amount));
+                }
+            }
+        }
+        self.totals.add(action);
+        Ok(())
+    }
+
+    /// The deal being exchanged.
+    pub fn deal(&self) -> &'a Deal {
+        self.totals.deal
+    }
+
+    pub(crate) fn totals(&self) -> Totals<'a> {
+        self.totals
     }
 
     /// Number of items delivered so far.
     pub fn delivered_count(&self) -> usize {
-        self.delivered_count
+        self.totals.delivered_count
     }
 
     /// Whether the given item has been delivered.
     ///
     /// # Panics
     ///
-    /// Panics if the id is out of range for the deal this state was
-    /// created from.
+    /// Panics if the id is out of range for the deal.
     pub fn is_delivered(&self, id: ItemId) -> bool {
         self.delivered[id.index()]
     }
 
     /// Money paid so far (`m`).
     pub fn paid(&self) -> Money {
-        self.paid
+        self.totals.paid
     }
 
     /// `Vs(D)`: supplier cost of the delivered subset.
     pub fn delivered_cost(&self) -> Money {
-        self.delivered_cost
+        self.totals.delivered_cost
     }
 
     /// `Vc(D)`: consumer value of the delivered subset.
     pub fn delivered_value(&self) -> Money {
-        self.delivered_value
+        self.totals.delivered_value
     }
 
-    /// Whether every item has been delivered.
-    pub fn all_delivered(&self) -> bool {
-        self.delivered_count == self.delivered.len()
-    }
-
-    /// Applies a delivery, updating the cached subset sums.
-    ///
-    /// The state only records flags and sums; the caller supplies the
-    /// item's cost and value. Most users should go through [`Progress`],
-    /// which pairs the state with its deal and looks the item up itself.
-    #[doc(hidden)]
-    pub fn apply_delivery_raw(
-        &mut self,
-        id: ItemId,
-        cost: Money,
-        value: Money,
-    ) -> Result<(), StateError> {
-        let idx = id.index();
-        if idx >= self.delivered.len() {
-            return Err(StateError::UnknownItem(id));
-        }
-        if self.delivered[idx] {
-            return Err(StateError::AlreadyDelivered(id));
-        }
-        self.delivered[idx] = true;
-        self.delivered_count += 1;
-        self.delivered_cost += cost;
-        self.delivered_value += value;
-        Ok(())
-    }
-
-    /// Applies a payment of `amount`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StateError::NonPositivePayment`] when `amount ≤ 0`.
-    /// Overpaying beyond `P` is permitted by the state (the verifier
-    /// rejects it at the sequence level where the deal is known).
-    pub fn apply_payment(&mut self, amount: Money) -> Result<(), StateError> {
-        if !amount.is_positive() {
-            return Err(StateError::NonPositivePayment(amount));
-        }
-        self.paid += amount;
-        Ok(())
-    }
-}
-
-/// A view pairing an [`ExchangeState`] with its [`Deal`], exposing the
-/// derived economic quantities.
-#[derive(Debug, Clone, Copy)]
-pub struct StateView<'a> {
-    deal: &'a Deal,
-    state: &'a ExchangeState,
-}
-
-impl<'a> StateView<'a> {
-    /// Creates a view over `state` in the context of `deal`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the state was created for a different number of items.
-    pub fn new(deal: &'a Deal, state: &'a ExchangeState) -> StateView<'a> {
-        assert_eq!(
-            deal.goods().len(),
-            state.delivered.len(),
-            "state does not belong to this deal"
-        );
-        StateView { deal, state }
-    }
-
-    /// The underlying deal.
-    pub fn deal(&self) -> &'a Deal {
-        self.deal
-    }
-
-    /// The underlying state.
-    pub fn state(&self) -> &'a ExchangeState {
-        self.state
+    /// Whether the exchange is complete: all delivered and fully paid.
+    pub fn is_complete(&self) -> bool {
+        self.delivered_count() == self.delivered.len() && self.outstanding().is_zero()
     }
 
     /// Outstanding payment `R = P − m` (negative if overpaid).
     pub fn outstanding(&self) -> Money {
-        self.deal.price() - self.state.paid
+        self.deal().price() - self.paid()
     }
 
     /// Remaining supplier cost `Vs(G) − Vs(D)`.
     pub fn remaining_cost(&self) -> Money {
-        self.deal.goods().total_supplier_cost() - self.state.delivered_cost
+        self.deal().goods().total_supplier_cost() - self.delivered_cost()
     }
 
     /// Remaining consumer value `Vc(G) − Vc(D)`.
     pub fn remaining_value(&self) -> Money {
-        self.deal.goods().total_consumer_value() - self.state.delivered_value
+        self.deal().goods().total_consumer_value() - self.delivered_value()
     }
 
-    /// Consumer's gain from defecting now: `Vc(D) − m`.
-    pub fn consumer_defect_gain(&self) -> Money {
-        self.state.delivered_value - self.state.paid
+    /// The role's gain from defecting now: `m − Vs(D)` for the supplier,
+    /// `Vc(D) − m` for the consumer.
+    pub fn defect_gain(&self, role: Role) -> Money {
+        self.totals.defect_gain(role)
     }
 
-    /// Consumer's gain from completing: `Vc(G) − P`.
-    pub fn consumer_complete_gain(&self) -> Money {
-        self.deal.consumer_surplus()
+    /// The role's gain from completing: `P − Vs(G)` for the supplier,
+    /// `Vc(G) − P` for the consumer.
+    pub fn complete_gain(&self, role: Role) -> Money {
+        self.totals.complete_gain(role)
     }
 
-    /// Supplier's gain from defecting now: `m − Vs(D)`.
-    pub fn supplier_defect_gain(&self) -> Money {
-        self.state.paid - self.state.delivered_cost
-    }
-
-    /// Supplier's gain from completing: `P − Vs(G)`.
-    pub fn supplier_complete_gain(&self) -> Money {
-        self.deal.supplier_profit()
-    }
-
-    /// Consumer temptation `T_c = defect − complete = R − (Vc(G) − Vc(D))`.
-    pub fn consumer_temptation(&self) -> Money {
-        self.consumer_defect_gain() - self.consumer_complete_gain()
-    }
-
-    /// Supplier temptation `T_s = (Vs(G) − Vs(D)) − R`.
-    pub fn supplier_temptation(&self) -> Money {
-        self.supplier_defect_gain() - self.supplier_complete_gain()
-    }
-
-    /// Temptation of the given role.
+    /// The role's temptation: defect gain minus complete gain.
     pub fn temptation(&self, role: Role) -> Money {
-        match role {
-            Role::Supplier => self.supplier_temptation(),
-            Role::Consumer => self.consumer_temptation(),
-        }
+        self.totals.temptation(role)
     }
 
     /// What the named party loses (vs. completing) if the *other* party
@@ -298,74 +301,6 @@ impl<'a> StateView<'a> {
         -self.temptation(role.other())
     }
 }
-
-/// Convenience: pairs a deal with an owned state and applies actions.
-pub mod progress {
-    use super::*;
-
-    /// An exchange in progress: deal + owned state.
-    #[derive(Debug, Clone)]
-    pub struct Progress<'a> {
-        deal: &'a Deal,
-        state: ExchangeState,
-    }
-
-    impl<'a> Progress<'a> {
-        /// Starts a fresh exchange over `deal`.
-        pub fn new(deal: &'a Deal) -> Progress<'a> {
-            Progress {
-                deal,
-                state: ExchangeState::new(deal),
-            }
-        }
-
-        /// The deal being exchanged.
-        pub fn deal(&self) -> &'a Deal {
-            self.deal
-        }
-
-        /// Read access to the state.
-        pub fn state(&self) -> &ExchangeState {
-            &self.state
-        }
-
-        /// A derived-quantities view of the current state.
-        pub fn view(&self) -> StateView<'_> {
-            StateView::new(self.deal, &self.state)
-        }
-
-        /// Delivers an item.
-        ///
-        /// # Errors
-        ///
-        /// [`StateError::UnknownItem`] / [`StateError::AlreadyDelivered`].
-        pub fn deliver(&mut self, id: ItemId) -> Result<(), StateError> {
-            let item = self
-                .deal
-                .goods()
-                .get(id.index())
-                .ok_or(StateError::UnknownItem(id))?;
-            self.state
-                .apply_delivery_raw(id, item.supplier_cost(), item.consumer_value())
-        }
-
-        /// Pays an amount.
-        ///
-        /// # Errors
-        ///
-        /// [`StateError::NonPositivePayment`].
-        pub fn pay(&mut self, amount: Money) -> Result<(), StateError> {
-            self.state.apply_payment(amount)
-        }
-
-        /// Whether the exchange is complete: all delivered and fully paid.
-        pub fn is_complete(&self) -> bool {
-            self.state.all_delivered() && self.view().outstanding().is_zero()
-        }
-    }
-}
-
-pub use progress::Progress;
 
 #[cfg(test)]
 mod tests {
@@ -378,31 +313,35 @@ mod tests {
         Deal::new(goods, Money::from_units(9)).unwrap()
     }
 
+    fn pay(units: i64) -> Action {
+        Action::Pay(Money::from_units(units))
+    }
+
     #[test]
     fn initial_state_quantities() {
         let d = deal();
-        let st = ExchangeState::new(&d);
-        let v = StateView::new(&d, &st);
-        assert_eq!(v.outstanding(), Money::from_units(9));
-        assert_eq!(v.remaining_cost(), Money::from_units(6));
-        assert_eq!(v.remaining_value(), Money::from_units(12));
+        let p = Progress::new(&d);
+        assert_eq!(p.outstanding(), Money::from_units(9));
+        assert_eq!(p.remaining_cost(), Money::from_units(6));
+        assert_eq!(p.remaining_value(), Money::from_units(12));
         // T_c(0) = P - Vc(G) = -3 ; T_s(0) = Vs(G) - P = -3.
-        assert_eq!(v.consumer_temptation(), Money::from_units(-3));
-        assert_eq!(v.supplier_temptation(), Money::from_units(-3));
-        assert_eq!(v.consumer_defect_gain(), Money::ZERO);
-        assert_eq!(v.supplier_defect_gain(), Money::ZERO);
+        assert_eq!(p.temptation(Role::Consumer), Money::from_units(-3));
+        assert_eq!(p.temptation(Role::Supplier), Money::from_units(-3));
+        assert_eq!(p.defect_gain(Role::Consumer), Money::ZERO);
+        assert_eq!(p.defect_gain(Role::Supplier), Money::ZERO);
+        assert_eq!(p.complete_gain(Role::Consumer), d.consumer_surplus());
+        assert_eq!(p.complete_gain(Role::Supplier), d.supplier_profit());
     }
 
     #[test]
     fn temptation_identity_with_exposure() {
         let d = deal();
         let mut p = Progress::new(&d);
-        p.pay(Money::from_units(4)).unwrap();
+        p.apply(&pay(4)).unwrap();
         let ids: Vec<ItemId> = d.goods().ids().collect();
-        p.deliver(ids[0]).unwrap();
-        let v = p.view();
-        assert_eq!(v.exposure(Role::Consumer), -v.supplier_temptation());
-        assert_eq!(v.exposure(Role::Supplier), -v.consumer_temptation());
+        p.apply(&Action::Deliver(ids[0])).unwrap();
+        assert_eq!(p.exposure(Role::Consumer), -p.temptation(Role::Supplier));
+        assert_eq!(p.exposure(Role::Supplier), -p.temptation(Role::Consumer));
     }
 
     #[test]
@@ -410,12 +349,12 @@ mod tests {
         let d = deal();
         let mut p = Progress::new(&d);
         let ids: Vec<ItemId> = d.goods().ids().collect();
-        p.deliver(ids[1]).unwrap();
-        assert_eq!(p.state().delivered_cost(), Money::from_units(1));
-        assert_eq!(p.state().delivered_value(), Money::from_units(4));
-        assert!(p.state().is_delivered(ids[1]));
-        assert!(!p.state().is_delivered(ids[0]));
-        assert_eq!(p.state().delivered_count(), 1);
+        p.apply(&Action::Deliver(ids[1])).unwrap();
+        assert_eq!(p.delivered_cost(), Money::from_units(1));
+        assert_eq!(p.delivered_value(), Money::from_units(4));
+        assert!(p.is_delivered(ids[1]));
+        assert!(!p.is_delivered(ids[0]));
+        assert_eq!(p.delivered_count(), 1);
     }
 
     #[test]
@@ -423,8 +362,12 @@ mod tests {
         let d = deal();
         let mut p = Progress::new(&d);
         let id = d.goods().ids().next().unwrap();
-        p.deliver(id).unwrap();
-        assert_eq!(p.deliver(id), Err(StateError::AlreadyDelivered(id)));
+        p.apply(&Action::Deliver(id)).unwrap();
+        assert_eq!(
+            p.apply(&Action::Deliver(id)),
+            Err(StateError::AlreadyDelivered(id))
+        );
+        assert_eq!(p.delivered_count(), 1, "a rejected action changes nothing");
     }
 
     #[test]
@@ -432,7 +375,10 @@ mod tests {
         let d = deal();
         let mut p = Progress::new(&d);
         let bogus = ItemId(99);
-        assert_eq!(p.deliver(bogus), Err(StateError::UnknownItem(bogus)));
+        assert_eq!(
+            p.apply(&Action::Deliver(bogus)),
+            Err(StateError::UnknownItem(bogus))
+        );
     }
 
     #[test]
@@ -440,23 +386,24 @@ mod tests {
         let d = deal();
         let mut p = Progress::new(&d);
         assert!(matches!(
-            p.pay(Money::ZERO),
+            p.apply(&pay(0)),
             Err(StateError::NonPositivePayment(_))
         ));
         assert!(matches!(
-            p.pay(Money::from_units(-1)),
+            p.apply(&pay(-1)),
             Err(StateError::NonPositivePayment(_))
         ));
+        assert_eq!(p.paid(), Money::ZERO);
     }
 
     #[test]
     fn consumer_temptation_rises_with_delivery() {
         let d = deal();
         let mut p = Progress::new(&d);
-        let before = p.view().consumer_temptation();
+        let before = p.temptation(Role::Consumer);
         let id = d.goods().ids().next().unwrap(); // Vc = 5
-        p.deliver(id).unwrap();
-        let after = p.view().consumer_temptation();
+        p.apply(&Action::Deliver(id)).unwrap();
+        let after = p.temptation(Role::Consumer);
         assert_eq!(after - before, Money::from_units(5));
     }
 
@@ -464,9 +411,9 @@ mod tests {
     fn supplier_temptation_rises_with_payment() {
         let d = deal();
         let mut p = Progress::new(&d);
-        let before = p.view().supplier_temptation();
-        p.pay(Money::from_units(2)).unwrap();
-        let after = p.view().supplier_temptation();
+        let before = p.temptation(Role::Supplier);
+        p.apply(&pay(2)).unwrap();
+        let after = p.temptation(Role::Supplier);
         assert_eq!(after - before, Money::from_units(2));
     }
 
@@ -474,16 +421,15 @@ mod tests {
     fn completion_detection() {
         let d = deal();
         let mut p = Progress::new(&d);
-        for id in d.goods().ids().collect::<Vec<_>>() {
-            p.deliver(id).unwrap();
+        for id in d.goods().ids() {
+            p.apply(&Action::Deliver(id)).unwrap();
         }
         assert!(!p.is_complete());
-        p.pay(Money::from_units(9)).unwrap();
+        p.apply(&pay(9)).unwrap();
         assert!(p.is_complete());
         // At completion both temptations are zero.
-        let v = p.view();
-        assert_eq!(v.consumer_temptation(), Money::ZERO);
-        assert_eq!(v.supplier_temptation(), Money::ZERO);
+        assert_eq!(p.temptation(Role::Consumer), Money::ZERO);
+        assert_eq!(p.temptation(Role::Supplier), Money::ZERO);
     }
 
     #[test]
@@ -492,15 +438,5 @@ mod tests {
         assert_eq!(Role::Consumer.other(), Role::Supplier);
         assert_eq!(Role::Supplier.to_string(), "supplier");
         assert_eq!(Role::Consumer.label(), "consumer");
-    }
-
-    #[test]
-    #[should_panic(expected = "does not belong")]
-    fn view_mismatched_state_panics() {
-        let d = deal();
-        let other_goods = Goods::from_f64_pairs(&[(1.0, 2.0)]).unwrap();
-        let other_deal = Deal::new(other_goods, Money::from_units(1)).unwrap();
-        let st = ExchangeState::new(&other_deal);
-        let _ = StateView::new(&d, &st);
     }
 }

@@ -11,6 +11,8 @@
 //! 4. Feasibility is monotone in the margin.
 //! 5. Honest execution of a scheduled sequence realizes exactly the
 //!    deal's gains.
+//! 6. `Progress`'s running totals and `max_future_temptation` agree
+//!    with a replay from scratch.
 
 use proptest::prelude::*;
 use trustex_core::prelude::*;
@@ -209,6 +211,57 @@ proptest! {
             *profile.last().unwrap(),
             goods.item(last).supplier_cost()
         );
+    }
+
+    #[test]
+    fn running_totals_and_forecast_match_a_replay(
+        goods in goods_strategy(),
+        margins in margins_strategy(),
+        t in 0.0f64..=1.0,
+    ) {
+        prop_assume!(feasible(&goods, margins));
+        let Some(deal) = deal_for(goods, t) else { return Ok(()); };
+        for policy in PaymentPolicy::ALL {
+            let plan = schedule(&deal, margins, policy, Algorithm::Greedy).expect("feasible");
+            let actions = plan.sequence().actions();
+            let mut p = Progress::new(&deal);
+            for step in 0..=actions.len() {
+                // Sums over the applied prefix, from scratch.
+                let (mut cost, mut value, mut paid) = (Money::ZERO, Money::ZERO, Money::ZERO);
+                let mut delivered = vec![false; deal.goods().len()];
+                for action in &actions[..step] {
+                    match *action {
+                        Action::Deliver(id) => {
+                            cost += deal.goods().item(id).supplier_cost();
+                            value += deal.goods().item(id).consumer_value();
+                            delivered[id.index()] = true;
+                        }
+                        Action::Pay(amount) => paid += amount,
+                    }
+                }
+                prop_assert_eq!(p.delivered_cost(), cost);
+                prop_assert_eq!(p.delivered_value(), value);
+                prop_assert_eq!(p.paid(), paid);
+                prop_assert_eq!(p.delivered_count(), delivered.iter().filter(|d| **d).count());
+                for id in deal.goods().ids() {
+                    prop_assert_eq!(p.is_delivered(id), delivered[id.index()]);
+                }
+                // The forecast equals the peak of a faithful replay.
+                let rest = &actions[step..];
+                for role in [Role::Supplier, Role::Consumer] {
+                    let mut replay = p.clone();
+                    let mut peak = replay.temptation(role);
+                    for action in rest {
+                        replay.apply(action).expect("scheduled action");
+                        peak = peak.max(replay.temptation(role));
+                    }
+                    prop_assert_eq!(max_future_temptation(role, &p, rest), peak);
+                }
+                if let Some(action) = actions.get(step) {
+                    p.apply(action).expect("scheduled action");
+                }
+            }
+        }
     }
 }
 

@@ -14,18 +14,8 @@ use trustex_core::policy::PaymentPolicy;
 use trustex_core::state::Role;
 use trustex_netsim::rng::SimRng;
 use trustex_reputation::system::{ReputationConfig, ReputationSystem};
-use trustex_trust::confidence::evidence_confidence;
+use trustex_trust::complaints::{tally_estimate, ComplaintConfig};
 use trustex_trust::model::{PeerId, TrustEstimate};
-
-/// Maps a queried complaint tally to a trust estimate, using the
-/// complaint-product heuristic of `trustex-trust::complaints` with a
-/// median taken over this round's queried products.
-fn tally_to_estimate(received: u64, filed: u64, median_product: f64) -> TrustEstimate {
-    let product = (received as f64 + 1.0) * (filed as f64 + 1.0);
-    let ratio = product / (4.0 * median_product.max(1.0));
-    let p = 1.0 / (1.0 + ratio * ratio);
-    TrustEstimate::new(p, evidence_confidence((received + filed) as f64))
-}
 
 /// E0 — *Figure R1*: the complete feedback loop of the paper's reference
 /// model on the decentralised substrate. Reported per phase of the run:
@@ -52,8 +42,12 @@ pub fn e0_pipeline(scale: Scale) -> Table {
     );
 
     let phase_len = rounds.div_ceil(3);
+    // Queried tallies are read through the complaint model's rule, with
+    // the median taken over the previous phase's queried products.
+    let outlier_factor = ComplaintConfig::default().outlier_factor;
     let mut median_product = 1.0f64;
     for phase in 0..3 {
+        let threshold = outlier_factor * median_product.max(1.0);
         let mut completed = 0usize;
         let mut declined = 0usize;
         let mut sessions = 0usize;
@@ -77,7 +71,7 @@ pub fn e0_pipeline(scale: Scale) -> Table {
                 let supplier_tally = reputation.query_tally(consumer, supplier, None);
                 let s_trust = match consumer_tally {
                     Some(t) => {
-                        let est = tally_to_estimate(t.received, t.filed, median_product);
+                        let est = tally_estimate(t.received as f64, t.filed as f64, threshold);
                         products_seen.push((t.received as f64 + 1.0) * (t.filed as f64 + 1.0));
                         est
                     }
@@ -85,7 +79,7 @@ pub fn e0_pipeline(scale: Scale) -> Table {
                 };
                 let c_trust = match supplier_tally {
                     Some(t) => {
-                        let est = tally_to_estimate(t.received, t.filed, median_product);
+                        let est = tally_estimate(t.received as f64, t.filed as f64, threshold);
                         products_seen.push((t.received as f64 + 1.0) * (t.filed as f64 + 1.0));
                         est
                     }
@@ -194,18 +188,5 @@ mod tests {
         for row in t.rows() {
             assert!(num(&row[4]) > 0.0, "grid messages must flow: {row:?}");
         }
-    }
-
-    #[test]
-    fn tally_estimate_properties() {
-        let clean = tally_to_estimate(0, 0, 1.0);
-        let dirty = tally_to_estimate(10, 0, 1.0);
-        assert!(clean.p_honest > dirty.p_honest);
-        assert!(
-            clean.confidence < dirty.confidence,
-            "complaints are evidence"
-        );
-        let liar = tally_to_estimate(0, 10, 1.0);
-        assert!(liar.p_honest < clean.p_honest);
     }
 }

@@ -303,7 +303,9 @@ impl PendingIndex {
 #[derive(Debug)]
 pub struct Community {
     profiles: Vec<AgentProfile>,
-    models: Vec<Arc<AnyModel>>,
+    /// Every agent's model, the direct ledger and the degraded flag:
+    /// the read state [`Community::snapshot`] freezes.
+    reads: CommunitySnapshot,
     /// Witness reports awaiting corroboration.
     pending: PendingIndex,
     /// Active community-level defenses.
@@ -314,14 +316,6 @@ pub struct Community {
     /// The round `witness_filed` counts; lazily reset when a report from
     /// a different round arrives.
     rate_round: u64,
-    /// Per-(evaluator, subject) direct-experience ledger backing the
-    /// degraded-mode fallback; only allocated for chaos runs.
-    direct: Option<Arc<DirectLedger>>,
-    /// When set, predictions use direct evidence only — the graceful
-    /// degradation the market engages while the witness quorum is
-    /// unreachable, instead of trusting estimates that silently read
-    /// lost gossip as absence of complaints.
-    degraded: bool,
 }
 
 /// Dense per-(evaluator, subject) counts of direct experiences —
@@ -362,23 +356,6 @@ impl DirectLedger {
     }
 }
 
-/// Degraded-mode estimate for one `(model, ledger)` pair: the model's
-/// own separable direct view when it has one, else the community's
-/// direct ledger, else maximum ignorance.
-fn degraded_estimate(
-    model: &AnyModel,
-    direct: Option<&DirectLedger>,
-    evaluator: PeerId,
-    subject: PeerId,
-) -> TrustEstimate {
-    if let Some(est) = model.predict_direct_only(subject) {
-        return est;
-    }
-    direct
-        .and_then(|l| l.estimate(evaluator, subject))
-        .unwrap_or(TrustEstimate::UNKNOWN)
-}
-
 /// An immutable view of every agent's trust model, taken with
 /// [`Community::snapshot`].
 ///
@@ -389,22 +366,29 @@ fn degraded_estimate(
 #[derive(Debug, Clone)]
 pub struct CommunitySnapshot {
     models: Vec<Arc<AnyModel>>,
+    /// Per-(evaluator, subject) direct-experience ledger backing the
+    /// degraded-mode fallback; only allocated for chaos runs.
     direct: Option<Arc<DirectLedger>>,
+    /// When set, predictions use direct evidence only — the graceful
+    /// degradation the market engages while the witness quorum is
+    /// unreachable, instead of trusting estimates that silently read
+    /// lost gossip as absence of complaints.
     degraded: bool,
 }
 
 impl CommunitySnapshot {
     /// `evaluator`'s trust estimate of `subject` at snapshot time.
     pub fn predict(&self, evaluator: PeerId, subject: PeerId) -> TrustEstimate {
+        let model = &self.models[evaluator.index()];
         if self.degraded {
-            return degraded_estimate(
-                &self.models[evaluator.index()],
-                self.direct.as_deref(),
-                evaluator,
-                subject,
-            );
+            // The model's own separable direct view when it has one, else
+            // the direct ledger, else maximum ignorance.
+            return model
+                .predict_direct_only(subject)
+                .or_else(|| self.direct.as_ref()?.estimate(evaluator, subject))
+                .unwrap_or(TrustEstimate::UNKNOWN);
         }
-        self.models[evaluator.index()].predict(subject)
+        model.predict(subject)
     }
 
     /// Fills `out[i]` with `evaluator`'s estimate of subject `PeerId(i)`
@@ -441,13 +425,15 @@ impl Community {
             .collect();
         Community {
             profiles,
-            models,
+            reads: CommunitySnapshot {
+                models,
+                direct: None,
+                degraded: false,
+            },
             pending: PendingIndex::new(n),
             defense,
             witness_filed: vec![0; n],
             rate_round: 0,
-            direct: None,
-            degraded: false,
         }
     }
 
@@ -458,8 +444,8 @@ impl Community {
     /// model cannot separate direct evidence degrade all the way to
     /// [`TrustEstimate::UNKNOWN`].
     pub fn enable_direct_ledger(&mut self) {
-        if self.direct.is_none() {
-            self.direct = Some(Arc::new(DirectLedger::new(self.len())));
+        if self.reads.direct.is_none() {
+            self.reads.direct = Some(Arc::new(DirectLedger::new(self.len())));
         }
     }
 
@@ -471,12 +457,12 @@ impl Community {
     /// undelivered complaints as evidence of good behaviour, evaluators
     /// stop consuming the witness channel until it heals.
     pub fn set_degraded(&mut self, on: bool) {
-        self.degraded = on;
+        self.reads.degraded = on;
     }
 
     /// Whether degraded (direct-only) prediction is active.
     pub fn degraded(&self) -> bool {
-        self.degraded
+        self.reads.degraded
     }
 
     /// Takes an immutable snapshot of every agent's model: one `Arc`
@@ -484,11 +470,7 @@ impl Community {
     /// writes copy-on-write only the models the snapshot still shares —
     /// and none at all once the snapshot is dropped.
     pub fn snapshot(&self) -> CommunitySnapshot {
-        CommunitySnapshot {
-            models: self.models.clone(),
-            direct: self.direct.clone(),
-            degraded: self.degraded,
-        }
+        self.reads.clone()
     }
 
     /// Number of agents.
@@ -512,21 +494,13 @@ impl Community {
 
     /// Read access to an agent's trust model.
     pub fn model(&self, agent: PeerId) -> &AnyModel {
-        &self.models[agent.index()]
+        &self.reads.models[agent.index()]
     }
 
     /// `evaluator`'s trust estimate of `subject`; direct evidence only
     /// while degraded mode is active (see [`Community::set_degraded`]).
     pub fn predict(&self, evaluator: PeerId, subject: PeerId) -> TrustEstimate {
-        if self.degraded {
-            return degraded_estimate(
-                &self.models[evaluator.index()],
-                self.direct.as_deref(),
-                evaluator,
-                subject,
-            );
-        }
-        self.models[evaluator.index()].predict(subject)
+        self.reads.predict(evaluator, subject)
     }
 
     /// Fills `out[i]` with `evaluator`'s estimate of subject `PeerId(i)`
@@ -538,13 +512,7 @@ impl Community {
     ///
     /// Panics if `evaluator` is out of range.
     pub fn predict_row_into(&self, evaluator: PeerId, out: &mut [TrustEstimate]) {
-        if self.degraded {
-            for (i, slot) in out.iter_mut().enumerate() {
-                *slot = self.predict(evaluator, PeerId(i as u32));
-            }
-            return;
-        }
-        self.models[evaluator.index()].predict_row_into(out);
+        self.reads.predict_row_into(evaluator, out);
     }
 
     /// Ground truth cooperation probability of an agent.
@@ -570,10 +538,10 @@ impl Community {
         conduct: Conduct,
         round: u64,
     ) {
-        if let Some(ledger) = &mut self.direct {
+        if let Some(ledger) = &mut self.reads.direct {
             Arc::make_mut(ledger).observe(evaluator, subject, conduct);
         }
-        let model = Arc::make_mut(&mut self.models[evaluator.index()]);
+        let model = Arc::make_mut(&mut self.reads.models[evaluator.index()]);
         model.record_direct(subject, conduct, round);
         if let Some(reports) = self.pending.take(evaluator, subject) {
             for &(witness, claimed) in &reports {
@@ -598,7 +566,7 @@ impl Community {
             }
             *filed += 1;
         }
-        Arc::make_mut(&mut self.models[target.index()]).record_witness(report);
+        Arc::make_mut(&mut self.reads.models[target.index()]).record_witness(report);
         self.pending
             .push(target, report.subject, report.witness, report.conduct);
         true
@@ -610,7 +578,7 @@ impl Community {
     /// untouched — the operator behind the identity keeps what it knows
     /// about the rest of the community.
     pub fn whitewash(&mut self, agent: PeerId) {
-        for (i, model) in self.models.iter_mut().enumerate() {
+        for (i, model) in self.reads.models.iter_mut().enumerate() {
             if i != agent.index() {
                 Arc::make_mut(model).forget_peer(agent);
             }

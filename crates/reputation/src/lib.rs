@@ -14,8 +14,9 @@
 //! * [`lifecycle`] — admission pacing over the grid: join backoff,
 //!   bounded admission rate, stale-peer eviction.
 //! * [`resolve`] — majority-vote resolution against lying replicas.
-//! * [`system`] — the facade the market simulation uses
-//!   ([`system::ReputationSystem`]), plus the centralized baseline.
+//! * [`system`] — the file-and-query facade
+//!   ([`system::ReputationSystem`]) that experiment e0's end-to-end
+//!   pipeline runs on.
 //!
 //! ```
 //! use trustex_reputation::prelude::*;

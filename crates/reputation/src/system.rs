@@ -1,9 +1,9 @@
 //! The reputation-management facade: Figure 1's left-hand module.
 //!
 //! [`ReputationSystem`] wires the P-Grid storage, the network model and
-//! the replica-resolution logic into the interface the market simulation
-//! consumes: *file a complaint*, *fetch a peer's complaint tally*. A
-//! fraction of storage peers can be configured to lie
+//! the replica-resolution logic into one interface: *file a complaint*,
+//! *fetch a peer's complaint tally*. Experiment e0's end-to-end pipeline
+//! is its caller. A fraction of storage peers can be configured to lie
 //! ([`StorageBehavior`]), and availability can be driven by a churn
 //! timeline.
 

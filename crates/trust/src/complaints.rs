@@ -354,15 +354,25 @@ impl ComplaintTrust {
             Assessment::Trustworthy
         }
     }
+}
 
-    fn estimate_of(&self, tally: Tally, threshold: f64) -> TrustEstimate {
-        // Smooth mapping: the farther above the median the product lies,
-        // the lower the honesty estimate. At the median: ~0.5 + baseline;
-        // well below: near the baseline prior of honest communities.
-        let ratio = tally.product() / threshold;
-        let p = 1.0 / (1.0 + ratio * ratio);
-        TrustEstimate::new(p, evidence_confidence(tally.received + tally.filed))
-    }
+/// Maps a complaint tally to a trust estimate: the farther the complaint
+/// product `(received + 1)(filed + 1)` lies above `threshold`, the lower
+/// the honesty estimate (`1 / (1 + ratio²)`, so ½ at the threshold). The
+/// confidence grows with the number of complaints, received or filed.
+///
+/// [`ComplaintTrust`] passes `outlier_factor ×` its population median as
+/// the threshold; a caller holding queried tallies can do the same with
+/// its own median.
+pub fn tally_estimate(received: f64, filed: f64, threshold: f64) -> TrustEstimate {
+    let tally = Tally {
+        received,
+        filed,
+        ..Tally::default()
+    };
+    let ratio = tally.product() / threshold;
+    let p = 1.0 / (1.0 + ratio * ratio);
+    TrustEstimate::new(p, evidence_confidence(received + filed))
 }
 
 impl TrustModel for ComplaintTrust {
@@ -397,7 +407,7 @@ impl TrustModel for ComplaintTrust {
             .copied()
             .unwrap_or_default();
         let threshold = self.config.outlier_factor * self.median_product();
-        self.estimate_of(tally, threshold)
+        tally_estimate(tally.received, tally.filed, threshold)
     }
 
     fn predict_row_into(&self, out: &mut [TrustEstimate]) {
@@ -406,10 +416,10 @@ impl TrustModel for ComplaintTrust {
         let threshold = self.config.outlier_factor * self.median_product();
         let covered = self.tallies.len().min(out.len());
         for (slot, tally) in out[..covered].iter_mut().zip(&self.tallies) {
-            *slot = self.estimate_of(*tally, threshold);
+            *slot = tally_estimate(tally.received, tally.filed, threshold);
         }
         if covered < out.len() {
-            let cold = self.estimate_of(Tally::default(), threshold);
+            let cold = tally_estimate(0.0, 0.0, threshold);
             out[covered..].fill(cold);
         }
     }
@@ -603,7 +613,8 @@ mod tests {
     fn probability_monotone_in_complaints() {
         let mut m = ComplaintTrust::new();
         let subject = PeerId(1);
-        let mut last = m.predict(subject).p_honest;
+        let clean = m.predict(subject);
+        let mut last = clean.p_honest;
         for v in 2..12 {
             m.file_complaint(PeerId(v), subject, 0);
             let p = m.predict(subject).p_honest;
@@ -614,6 +625,13 @@ mod tests {
             last < 0.5,
             "ten complaints should drop below coin-flip: {last}"
         );
+        assert!(last < clean.p_honest, "a clean record beats a dirty one");
+        assert!(
+            m.predict(subject).confidence > clean.confidence,
+            "complaints are evidence"
+        );
+        // Filing counts too: a complainer ranks below a clean peer.
+        assert!(m.predict(PeerId(2)).p_honest < m.predict(PeerId(20)).p_honest);
     }
 
     #[test]
