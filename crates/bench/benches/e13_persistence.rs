@@ -1,6 +1,7 @@
 //! E13 bench: composite service snapshot/restore — the warm-start path
 //! (encode the overlay + engine, parse it back) against a fixed state —
-//! and the CRC-32C kernel that frames every section and log record.
+//! the evidence-log replay that follows it, and the CRC-32C kernel that
+//! frames every section and log record.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
@@ -10,6 +11,7 @@ use trustex_netsim::crc::crc32c;
 use trustex_netsim::rng::SimRng;
 use trustex_reputation::pgrid::{PGrid, PGridConfig};
 use trustex_trust::engine::{TrustEngine, TrustEvent};
+use trustex_trust::evidence_log::{EvidenceLog, EvidenceRecord};
 use trustex_trust::model::{Conduct, PeerId};
 
 fn service_state(n: usize, events: usize) -> (PGrid, TrustEngine<trustex_trust::beta::BetaTrust>) {
@@ -47,6 +49,41 @@ fn bench_crc32c(c: &mut Criterion) {
     group.finish();
 }
 
+/// Evidence-log replay: 250 000 frames from 1000 issuers, every fourth
+/// frame re-sent (a gossip retry), checked, deduplicated on
+/// `(issuer, seq)` and decoded.
+fn bench_log_replay(c: &mut Criterion) {
+    let issuers = 1_000;
+    let mut rng = SimRng::new(0x7E1);
+    let mut next_seq = vec![0u64; issuers];
+    let mut log = EvidenceLog::new();
+    for i in 0..200_000u64 {
+        let issuer = rng.index(issuers);
+        let record = EvidenceRecord {
+            issuer: PeerId(issuer as u32),
+            seq: next_seq[issuer],
+            event: TrustEvent::direct(
+                PeerId(rng.index(10_000) as u32),
+                Conduct::from_honest(!rng.chance(0.3)),
+                i,
+            ),
+        };
+        next_seq[issuer] += 1;
+        log.append(&record);
+        if i % 4 == 3 {
+            log.append(&record);
+        }
+    }
+    assert_eq!(log.frames(), 250_000);
+    let bytes = log.into_bytes();
+    let mut group = c.benchmark_group("e13/log_replay");
+    group.throughput(Throughput::Bytes(bytes.len() as u64));
+    group.bench_function("250k_frames", |b| {
+        b.iter(|| black_box(EvidenceLog::replay(black_box(&bytes)).expect("own log replays")))
+    });
+    group.finish();
+}
+
 fn bench_persistence(c: &mut Criterion) {
     let (grid, engine) = service_state(5_000, 50_000);
     let blob = snapshot_service(&grid, &engine);
@@ -73,5 +110,5 @@ fn bench_persistence(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_crc32c, bench_persistence);
+criterion_group!(benches, bench_crc32c, bench_log_replay, bench_persistence);
 criterion_main!(benches);

@@ -21,6 +21,18 @@
 //! bit-flipped frame surfaces as a typed [`PersistError`] on replay —
 //! never a panic, never a silently-wrong model.
 //!
+//! ## Replay
+//!
+//! [`EvidenceLog::replay`] reads the log twice. The first pass checks
+//! every frame in full and collects one `u128` key per frame:
+//! `issuer << 96 | seq << 32 | frame index`. Sorting the keys puts all
+//! frames of one `(issuer, seq)` next to each other, earliest first, so
+//! every later one is marked a duplicate. The second pass decodes the
+//! unmarked frames in log order. Keys read from disk never reach a hash
+//! table: dedup costs O(n log n) on any input, adversarial logs
+//! included. [`EvidenceLog::open`] runs the first pass only, to verify
+//! and count the frames.
+//!
 //! ```
 //! use trustex_trust::evidence_log::{EvidenceLog, EvidenceRecord};
 //! use trustex_trust::prelude::*;
@@ -40,12 +52,14 @@
 
 use crate::engine::TrustEvent;
 use crate::model::PeerId;
-use std::collections::HashSet;
 use trustex_persist::codec::{ByteReader, ByteWriter};
 use trustex_persist::{crc32c, PersistError, FORMAT_VERSION};
 
 /// Magic identifying an evidence log.
 pub const LOG_MAGIC: [u8; 4] = *b"TXEL";
+
+/// The log header: magic and format version.
+const HEADER_LEN: usize = 4 + 2;
 
 /// The smallest frame: length, a direct-event payload (issuer 4 + seq 8
 /// + event 14) and the CRC.
@@ -98,12 +112,16 @@ impl EvidenceLog {
 
     /// Re-opens an existing log for further appends, verifying every
     /// frame first — appending after a truncated tail would bury the
-    /// corruption.
+    /// corruption. This is replay's first pass without the keys: every
+    /// frame is checked, its event included, but no record is kept and
+    /// nothing is deduplicated, so [`frames`] counts duplicates too.
+    ///
+    /// [`frames`]: EvidenceLog::frames
     pub fn open(bytes: Vec<u8>) -> Result<EvidenceLog, PersistError> {
-        let replay = EvidenceLog::replay(&bytes)?;
+        let appended = walk_frames(log_body(&bytes)?, |frame| frame.event().map(drop))?;
         Ok(EvidenceLog {
             buf: ByteWriter::from(bytes),
-            appended: replay.records.len() + replay.duplicates,
+            appended,
         })
     }
 
@@ -139,65 +157,138 @@ impl EvidenceLog {
         self.buf.into_bytes()
     }
 
-    /// Verifies and replays a serialized log: every frame's CRC is
-    /// checked, then records are deduplicated on `(issuer, seq)` with
-    /// the first occurrence winning. Any truncation or corruption —
-    /// including a partial final frame from a crash mid-append — is a
-    /// typed error.
+    /// Verifies and replays a serialized log: every frame's CRC and
+    /// event are checked, then records are deduplicated on
+    /// `(issuer, seq)` with the first occurrence winning. Any truncation
+    /// or corruption — including a partial final frame from a crash
+    /// mid-append — is a typed error, the one the first bad frame
+    /// raises. A log of more than 2³² frames is `Malformed`.
+    ///
+    /// Two passes: the first checks every frame and sorts one packed
+    /// `(issuer, seq, frame index)` key per frame, which marks every
+    /// frame after the first of its key a duplicate; the second decodes
+    /// the unmarked frames in log order. The sort costs O(n log n) on
+    /// any input.
     pub fn replay(bytes: &[u8]) -> Result<LogReplay, PersistError> {
-        let mut r = ByteReader::new(bytes);
-        let magic = r.take_tag("log magic")?;
-        if magic != LOG_MAGIC {
-            return Err(PersistError::BadMagic {
-                expected: LOG_MAGIC,
-                found: magic,
-            });
-        }
-        let version = r.take_u16()?;
-        if version != FORMAT_VERSION {
-            return Err(PersistError::UnsupportedVersion {
-                found: version,
-                supported: FORMAT_VERSION,
-            });
-        }
+        let body = log_body(bytes)?;
         // Sized from the input, as `take_len` bounds a length prefix: no
         // log holds more frames than its bytes over the smallest frame.
-        let max_frames = r.remaining() / MIN_FRAME_LEN;
-        let mut records = Vec::with_capacity(max_frames);
-        let mut seen: HashSet<(u32, u64)> = HashSet::with_capacity(max_frames);
-        let mut duplicates = 0usize;
-        while !r.is_exhausted() {
-            let len = r.take_u32()? as usize;
-            if len + 4 > r.remaining() {
-                return Err(PersistError::Truncated {
-                    context: "evidence-log frame",
-                });
-            }
-            let payload = r.take_bytes(len, "evidence-log payload")?;
-            let stored_crc = r.take_u32()?;
-            if crc32c(payload) != stored_crc {
-                return Err(PersistError::CrcMismatch { section: LOG_MAGIC });
-            }
-            let mut pr = ByteReader::new(payload);
-            let issuer = pr.take_u32()?;
-            let seq = pr.take_u64()?;
-            let event = TrustEvent::decode_from(&mut pr)?;
-            pr.finish()?;
-            if seen.insert((issuer, seq)) {
-                records.push(EvidenceRecord {
-                    issuer: PeerId(issuer),
-                    seq,
-                    event,
-                });
-            } else {
+        let mut keys: Vec<u128> = Vec::with_capacity(body.len() / MIN_FRAME_LEN);
+        let frames = walk_frames(body, |frame| {
+            let key = u128::from(frame.issuer) << 96
+                | u128::from(frame.seq) << 32
+                | u128::from(frame.index);
+            frame.event()?;
+            keys.push(key);
+            Ok(())
+        })?;
+        // Sorted, the frames of one (issuer, seq) are adjacent, earliest
+        // first; each later one is a duplicate.
+        keys.sort_unstable();
+        let mut duplicate = vec![false; frames];
+        let mut duplicates = 0;
+        for pair in keys.windows(2) {
+            if pair[0] >> 32 == pair[1] >> 32 {
+                duplicate[pair[1] as u32 as usize] = true;
                 duplicates += 1;
             }
         }
+        drop(keys);
+        let mut records = Vec::with_capacity(frames - duplicates);
+        walk_frames(body, |frame| {
+            if !duplicate[frame.index as usize] {
+                records.push(EvidenceRecord {
+                    issuer: PeerId(frame.issuer),
+                    seq: frame.seq,
+                    event: frame.event()?,
+                });
+            }
+            Ok(())
+        })?;
         Ok(LogReplay {
             records,
             duplicates,
         })
     }
+}
+
+/// Checks the log header and returns the frames after it.
+fn log_body(bytes: &[u8]) -> Result<&[u8], PersistError> {
+    let mut r = ByteReader::new(bytes);
+    let magic = r.take_tag("log magic")?;
+    if magic != LOG_MAGIC {
+        return Err(PersistError::BadMagic {
+            expected: LOG_MAGIC,
+            found: magic,
+        });
+    }
+    let version = r.take_u16()?;
+    if version != FORMAT_VERSION {
+        return Err(PersistError::UnsupportedVersion {
+            found: version,
+            supported: FORMAT_VERSION,
+        });
+    }
+    Ok(&bytes[HEADER_LEN..])
+}
+
+/// One frame whose length, CRC-32C, issuer and seq are checked; its
+/// event is still undecoded.
+struct Frame<'a> {
+    /// Position of the frame in the log, from 0.
+    index: u32,
+    issuer: u32,
+    seq: u64,
+    /// The payload after the issuer and seq.
+    rest: ByteReader<'a>,
+}
+
+impl Frame<'_> {
+    /// Decodes the event and checks that it ends the payload.
+    fn event(mut self) -> Result<TrustEvent, PersistError> {
+        let event = TrustEvent::decode_from(&mut self.rest)?;
+        self.rest.finish()?;
+        Ok(event)
+    }
+}
+
+/// Walks the frames of a log body in order — the one place a frame is
+/// parsed. Each frame's length, CRC-32C, issuer and seq are checked
+/// before `visit` sees it; `visit` decodes the event where it needs it.
+/// Returns the number of frames.
+fn walk_frames<'a>(
+    body: &'a [u8],
+    mut visit: impl FnMut(Frame<'a>) -> Result<(), PersistError>,
+) -> Result<usize, PersistError> {
+    let mut r = ByteReader::new(body);
+    let mut frames = 0usize;
+    while !r.is_exhausted() {
+        let index = u32::try_from(frames).map_err(|_| PersistError::Malformed {
+            context: "evidence log holds more than 2^32 frames",
+        })?;
+        let len = r.take_u32()? as usize;
+        if len + 4 > r.remaining() {
+            return Err(PersistError::Truncated {
+                context: "evidence-log frame",
+            });
+        }
+        let payload = r.take_bytes(len, "evidence-log payload")?;
+        let stored_crc = r.take_u32()?;
+        if crc32c(payload) != stored_crc {
+            return Err(PersistError::CrcMismatch { section: LOG_MAGIC });
+        }
+        let mut rest = ByteReader::new(payload);
+        let issuer = rest.take_u32()?;
+        let seq = rest.take_u64()?;
+        visit(Frame {
+            index,
+            issuer,
+            seq,
+            rest,
+        })?;
+        frames += 1;
+    }
+    Ok(frames)
 }
 
 #[cfg(test)]
@@ -329,18 +420,55 @@ mod tests {
         for rec in &records[..5] {
             log.append(rec);
         }
+        // Two gossip re-sends: `open` counts frames, duplicates included.
+        log.append(&records[1]);
+        log.append(&records[3]);
         let mut reopened = EvidenceLog::open(log.into_bytes()).unwrap();
-        assert_eq!(reopened.frames(), 5);
+        assert_eq!(reopened.frames(), 7);
         for rec in &records[5..] {
             reopened.append(rec);
         }
+        reopened.append(&records[0]);
+        assert_eq!(reopened.frames(), 13);
         let replay = EvidenceLog::replay(reopened.as_bytes()).unwrap();
         assert_eq!(replay.records, records);
+        assert_eq!(replay.duplicates, 3);
         // A corrupt log refuses to open.
         let mut bad = reopened.into_bytes();
         let last = bad.len() - 1;
         bad[last] ^= 1;
         assert!(EvidenceLog::open(bad).is_err());
+    }
+
+    /// Every frame repeats one `(issuer, seq)`, and the last one carries
+    /// conduct byte 7 under a valid CRC. Dedup alone would drop that
+    /// frame unread, so only the first pass's event decode can catch it.
+    #[test]
+    fn undecodable_duplicate_is_malformed() {
+        let record = EvidenceRecord {
+            issuer: PeerId(4),
+            seq: 9,
+            event: TrustEvent::direct(PeerId(2), Conduct::Honest, 1),
+        };
+        let mut log = EvidenceLog::new();
+        for _ in 0..4 {
+            log.append(&record);
+        }
+        let mut bytes = log.into_bytes();
+        let payload_at = bytes.len() - MIN_FRAME_LEN + 4;
+        let payload_end = bytes.len() - 4;
+        // Payload: issuer 4, seq 8, variant tag 1, subject 4, conduct 1.
+        bytes[payload_at + 17] = 7;
+        let crc = crc32c(&bytes[payload_at..payload_end]);
+        bytes[payload_end..].copy_from_slice(&crc.to_le_bytes());
+        assert!(matches!(
+            EvidenceLog::replay(&bytes),
+            Err(PersistError::Malformed { .. })
+        ));
+        assert!(matches!(
+            EvidenceLog::open(bytes),
+            Err(PersistError::Malformed { .. })
+        ));
     }
 
     #[test]

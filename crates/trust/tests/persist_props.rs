@@ -1,7 +1,7 @@
 //! Property suite for the durable-evidence codec on the trust side.
 //!
-//! Three contracts, pinned across all four model kinds on random
-//! evidence histories:
+//! Four contracts, pinned on random evidence histories, the first three
+//! across all four model kinds:
 //!
 //! 1. **Round-trip identity** — `decode(encode(m))` serves the exact
 //!    same predictions as `m`, bit for bit, and re-encodes to the exact
@@ -12,6 +12,8 @@
 //! 3. **Total decoding** — every single-byte corruption and every
 //!    truncation of a real snapshot is a typed error, never a panic and
 //!    never an `Ok`.
+//! 4. **Log dedup** — evidence-log replay keeps the first frame of each
+//!    `(issuer, seq)`, exactly as a first-wins hash-set fold does.
 
 use proptest::prelude::*;
 use trustex_persist::codec::ByteWriter;
@@ -34,16 +36,17 @@ struct Obs {
     round: u64,
 }
 
+fn observation() -> impl Strategy<Value = Obs> {
+    (0u32..POP, 0u32..POP, any::<bool>(), 0u64..50).prop_map(|(w, s, honest, round)| Obs {
+        witness: w,
+        subject: s,
+        honest,
+        round,
+    })
+}
+
 fn observations(max_len: usize) -> impl Strategy<Value = Vec<Obs>> {
-    prop::collection::vec(
-        (0u32..POP, 0u32..POP, any::<bool>(), 0u64..50).prop_map(|(w, s, honest, round)| Obs {
-            witness: w,
-            subject: s,
-            honest,
-            round,
-        }),
-        0..max_len,
-    )
+    prop::collection::vec(observation(), 0..max_len)
 }
 
 fn apply(model: &mut dyn TrustModel, obs: &[Obs]) {
@@ -197,6 +200,46 @@ proptest! {
         let replay = EvidenceLog::replay(log.as_bytes()).unwrap();
         prop_assert_eq!(replay.records, expect);
         prop_assert_eq!(replay.duplicates + replay_len(&log), obs.len());
+    }
+}
+
+/// The issuers and seqs the oracle draws keys from: a small space, so
+/// keys repeat far apart and out of order, with the extremes that catch
+/// a slip in packing `(issuer, seq, frame index)` into one `u128`.
+const ORACLE_ISSUERS: [u32; 4] = [0, 1, u32::MAX - 1, u32::MAX];
+const ORACLE_SEQS: [u64; 6] = [0, 1, u32::MAX as u64, 1 << 32, u64::MAX - 1, u64::MAX];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Replay equals a first-wins hash-set fold: the same records in the
+    /// same order and the same duplicate count. Repeated keys may carry
+    /// different payloads; `open` counts every frame.
+    #[test]
+    fn evidence_log_replay_matches_hash_set_oracle(
+        frames in prop::collection::vec(
+            (0..ORACLE_ISSUERS.len(), 0..ORACLE_SEQS.len(), observation()),
+            0..80,
+        ),
+    ) {
+        let mut log = EvidenceLog::new();
+        let mut expect = Vec::new();
+        let mut seen = std::collections::HashSet::new();
+        for &(issuer, seq, obs) in &frames {
+            let rec = EvidenceRecord {
+                issuer: PeerId(ORACLE_ISSUERS[issuer]),
+                seq: ORACLE_SEQS[seq],
+                event: event_of(obs),
+            };
+            log.append(&rec);
+            if seen.insert((rec.issuer, rec.seq)) {
+                expect.push(rec);
+            }
+        }
+        let replay = EvidenceLog::replay(log.as_bytes()).unwrap();
+        prop_assert_eq!(replay.duplicates, frames.len() - expect.len());
+        prop_assert_eq!(replay.records, expect);
+        prop_assert_eq!(EvidenceLog::open(log.into_bytes()).unwrap().frames(), frames.len());
     }
 }
 

@@ -1,5 +1,6 @@
 //! Warm start: snapshot a running trust service, crash it, restore it,
-//! and prove the restored service is the same service.
+//! replay the evidence log written since the snapshot, and prove the
+//! restored service is the same service.
 //!
 //! ```text
 //! cargo run --release --example warm_start
@@ -13,6 +14,7 @@ use trust_aware_cooperation::reputation::pgrid::{PGrid, PGridConfig};
 use trust_aware_cooperation::reputation::record::key_for_peer;
 use trust_aware_cooperation::trust::beta::BetaTrust;
 use trust_aware_cooperation::trust::engine::{TrustEngine, TrustEvent};
+use trust_aware_cooperation::trust::evidence_log::{EvidenceLog, EvidenceRecord};
 use trust_aware_cooperation::trust::model::{Conduct, PeerId, TrustEstimate};
 
 fn main() -> Result<(), PersistError> {
@@ -56,16 +58,44 @@ fn main() -> Result<(), PersistError> {
         let b = grid2.route(0, key, None, &mut net_b, &mut rng_b);
         assert_eq!(a.map(|(p, h, _)| (p, h)), b.map(|(p, h, _)| (p, h)));
     }
-    let mut live = vec![TrustEstimate::UNKNOWN; n];
-    let mut back = vec![TrustEstimate::UNKNOWN; n];
-    engine.snapshot().predict_row_into(&mut live);
-    engine2.snapshot().predict_row_into(&mut back);
-    assert!(live
-        .iter()
-        .zip(&back)
-        .all(|(l, b)| l.p_honest == b.p_honest && l.confidence == b.confidence));
+    assert!(same_rows(&engine, &engine2, n));
     assert_eq!(snapshot_service(&grid2, &engine2), blob);
     println!("restored service verified: routes, trust rows and bytes identical");
+
+    // The log tail: events accepted after the snapshot, framed as a TXEL
+    // evidence log in which every fourth frame is re-sent (a gossip
+    // retry). Replaying it into the restored engine must publish the row
+    // the live engine publishes after the same events.
+    let mut log = EvidenceLog::new();
+    let mut resent = 0;
+    for k in 0..4_000u64 {
+        let seq = 10_000 + k;
+        let record = EvidenceRecord {
+            issuer: PeerId((k % 64) as u32),
+            seq,
+            event: TrustEvent::direct(
+                PeerId((k * 13 % n as u64) as u32),
+                Conduct::from_honest(k % 5 != 0),
+                seq,
+            ),
+        };
+        engine.submit(seq, record.event);
+        log.append(&record);
+        if k % 4 == 3 {
+            log.append(&record);
+            resent += 1;
+        }
+    }
+    let replay = EvidenceLog::replay(log.as_bytes())?;
+    assert_eq!(replay.duplicates, resent);
+    engine2.submit_batch(replay.records.iter().map(|r| (r.seq, r.event)));
+    engine.publish();
+    engine2.publish();
+    assert!(same_rows(&engine, &engine2, n));
+    println!(
+        "log tail: {} frames ({resent} re-sent) replayed, trust rows identical",
+        log.frames()
+    );
 
     // Crash recovery: every corruption class is a typed error.
     let mut torn = blob.clone();
@@ -86,5 +116,21 @@ fn main() -> Result<(), PersistError> {
         "future version  -> {}",
         restore_service::<BetaTrust>(&future).unwrap_err()
     );
+    let torn_log = &log.as_bytes()[..log.as_bytes().len() - 5];
+    let err = EvidenceLog::replay(torn_log).unwrap_err();
+    assert!(matches!(err, PersistError::Truncated { .. }));
+    println!("torn log tail   -> {err}");
     Ok(())
+}
+
+/// Whether two engines publish the same trust row, bit for bit.
+fn same_rows(a: &TrustEngine<BetaTrust>, b: &TrustEngine<BetaTrust>, n: usize) -> bool {
+    let mut row_a = vec![TrustEstimate::UNKNOWN; n];
+    let mut row_b = vec![TrustEstimate::UNKNOWN; n];
+    a.snapshot().predict_row_into(&mut row_a);
+    b.snapshot().predict_row_into(&mut row_b);
+    row_a
+        .iter()
+        .zip(&row_b)
+        .all(|(x, y)| x.p_honest == y.p_honest && x.confidence == y.confidence)
 }
