@@ -6,11 +6,13 @@
 //!   `EXPERIMENTS.md` (`cargo run --release -p trustex-bench --bin repro`),
 //!   optionally a single experiment by id (`… -- e4`) and at smoke scale
 //!   (`… -- --smoke`);
-//! * one Criterion bench per experiment (`benches/e*.rs`) measuring the
-//!   experiment's characteristic operation.
+//! * the `layers` Criterion bench (`benches/layers.rs`), one group per
+//!   layer — scheduler, decision, trust, P-Grid, persistence, market —
+//!   each timing that layer's kernels on their own
+//!   (`cargo bench -p trustex-bench --bench layers -- pgrid/`).
 //!
-//! The library portion only re-exports a tiny helper shared by the
-//! benches.
+//! The library portion holds the small helpers the `repro` binary
+//! shares with its tests.
 
 pub use trustex_market::experiments::{find, Scale, ALL};
 pub use trustex_market::table::Table;

@@ -354,7 +354,7 @@ mod tests {
         );
     }
 
-    /// Retransmission + delivery dedup keep the delivery-rate column
+    /// Retransmission + at-most-once delivery keep the delivery-rate column
     /// sane: within [0, 1], and the defended arm delivers strictly more
     /// witness reports than the undefended one under the same faults.
     #[test]

@@ -30,7 +30,6 @@ use crate::metrics::{accuracy_metrics, cooperation_truth, trust_mae_with_truth_t
 use crate::population::{Community, CommunitySnapshot, DefenseConfig, ModelKind};
 use crate::strategy::{plan, Strategy};
 use crate::workload::Workload;
-use std::collections::HashSet;
 use trustex_agents::adversary::Faction;
 use trustex_agents::profile::PopulationMix;
 use trustex_agents::reporting::Campaign;
@@ -113,9 +112,9 @@ pub struct MarketConfig {
     pub defense: DefenseConfig,
     /// Record O(n²) trust metrics every round (else only at the end).
     pub track_trust_per_round: bool,
-    /// Message-level chaos: deliver witness gossip through a fault
-    /// plane. `None` (the default) bypasses the plane entirely and is
-    /// bit-identical to the pre-chaos delivery path.
+    /// Message-level chaos: deliver witness gossip through a faulty
+    /// plane. `None` (the default) keeps the plane transparent, which
+    /// delivers every report exactly once.
     pub chaos: Option<ChaosConfig>,
     /// Worker threads for the sharded session executor (0 = auto via
     /// [`trustex_netsim::pool::default_threads`]). Any value yields the
@@ -340,8 +339,8 @@ fn pick_other(pool: &[PeerId], exclude: PeerId, rng: &mut SimRng) -> Option<Peer
 /// One lost witness report awaiting retransmission.
 #[derive(Debug, Clone, Copy)]
 struct RetxEntry {
-    /// The original emission's sequence number — the dedup key, so a
-    /// retransmission can never double-deliver.
+    /// The original emission's sequence number — the backoff jitter
+    /// key.
     emission: u64,
     target: PeerId,
     report: WitnessReport,
@@ -362,14 +361,10 @@ pub struct MarketSim {
     /// Ground-truth cooperation probabilities, fixed at construction and
     /// reused by every per-round MAE evaluation.
     truth: Vec<f64>,
-    /// The witness-gossip fault plane, when chaos is configured.
-    plane: Option<FaultPlane>,
-    /// Monotone per-emission sequence; keys every fault decision and,
-    /// paired with the issuer, the `(issuer, seq)` delivery dedup.
+    /// The witness-gossip fault plane (transparent without chaos).
+    plane: FaultPlane,
+    /// Monotone per-wire-attempt sequence; keys every fault decision.
     gossip_seq: u64,
-    /// Emissions whose report already reached its target — duplicates
-    /// and late retransmissions of these are suppressed.
-    seen: HashSet<(u32, u64)>,
     /// Bounded retransmission queue for lost/blocked reports, drained
     /// on the virtual clock at each round boundary.
     retx: EventQueue<RetxEntry>,
@@ -403,12 +398,10 @@ impl MarketSim {
         // The plane seed derives from the run seed through a fixed salt
         // (a pure hash, no draw), so chaos runs replay bit-for-bit and
         // chaos-free runs consume an unchanged RNG stream.
-        let plane = cfg.chaos.map(|chaos| {
-            FaultPlane::new(
-                trustex_netsim::backoff::splitmix64(cfg.seed ^ 0xC4A0_5C4A_05C4_A05C),
-                chaos.fault,
-            )
-        });
+        let plane = FaultPlane::new(
+            trustex_netsim::backoff::splitmix64(cfg.seed ^ 0xC4A0_5C4A_05C4_A05C),
+            cfg.chaos.map_or(FaultConfig::default(), |c| c.fault),
+        );
         if cfg.chaos.is_some_and(|c| c.degrade) {
             community.enable_direct_ledger();
         }
@@ -424,7 +417,6 @@ impl MarketSim {
             truth,
             plane,
             gossip_seq: 0,
-            seen: HashSet::new(),
             retx: EventQueue::new(),
             retx_overflow: 0,
             witness_attempted: 0,
@@ -877,29 +869,19 @@ impl MarketSim {
     }
 
     /// Sends one witness-report emission over the (possibly faulty)
-    /// wire. Without a chaos plane this is a plain delivery — the exact
-    /// pre-chaos path, no extra RNG draws, no sequence numbers burned.
+    /// wire. The plane draws no RNG, so without chaos (a transparent
+    /// plane) this is a plain delivery.
     fn transmit_report(&mut self, target: PeerId, report: WitnessReport) {
         self.witness_attempted += 1;
         self.round_attempted += 1;
-        let Some(plane) = self.plane else {
-            if self.community.deliver_witness_report(target, report) {
-                self.witness_delivered += 1;
-                self.round_delivered += 1;
-            }
-            return;
-        };
         let emission = self.gossip_seq;
         self.gossip_seq += 1;
         let at = Self::round_time(report.round);
-        match plane.decide(report.witness.0, target.0, emission, at) {
-            FaultFate::Deliver { duplicates, .. } => {
-                // Every wire copy arrives; the (issuer, seq) dedup
-                // admits only the first into the target's model.
-                for _ in 0..=duplicates {
-                    self.deliver_once(emission, target, report);
-                }
-            }
+        match self.plane.decide(report.witness.0, target.0, emission, at) {
+            // Wire duplicates of a delivered emission are dropped here:
+            // an emission is queued for retransmission only when lost,
+            // so it meets at most one `Deliver` fate.
+            FaultFate::Deliver { .. } => self.deliver(target, report),
             FaultFate::Lost | FaultFate::Blocked => {
                 if self.cfg.chaos.is_some_and(|c| c.retry) {
                     self.schedule_retx(
@@ -916,13 +898,8 @@ impl MarketSim {
         }
     }
 
-    /// Delivers one wire copy, deduplicated on `(issuer, emission)` so
-    /// plane duplicates and late retransmissions never double-count a
-    /// report's feedback effects.
-    fn deliver_once(&mut self, emission: u64, target: PeerId, report: WitnessReport) {
-        if !self.seen.insert((report.witness.0, emission)) {
-            return;
-        }
+    /// Delivers one emission's report into the target's model.
+    fn deliver(&mut self, target: PeerId, report: WitnessReport) {
         if self.community.deliver_witness_report(target, report) {
             self.witness_delivered += 1;
             self.round_delivered += 1;
@@ -945,16 +922,16 @@ impl MarketSim {
     /// gets a fresh wire attempt through the plane, re-queueing on
     /// failure until the policy's attempt budget runs out.
     fn pump_retx(&mut self, round: u64) {
-        let Some(plane) = self.plane else { return };
         let now = Self::round_time(round);
         while self.retx.peek_time().is_some_and(|t| t <= now) {
             let (due, mut entry) = self.retx.pop().expect("peeked entry");
             let wire_seq = self.gossip_seq;
             self.gossip_seq += 1;
-            match plane.decide(entry.report.witness.0, entry.target.0, wire_seq, due) {
-                FaultFate::Deliver { .. } => {
-                    self.deliver_once(entry.emission, entry.target, entry.report);
-                }
+            match self
+                .plane
+                .decide(entry.report.witness.0, entry.target.0, wire_seq, due)
+            {
+                FaultFate::Deliver { .. } => self.deliver(entry.target, entry.report),
                 FaultFate::Lost | FaultFate::Blocked => {
                     entry.attempts += 1;
                     if RETX_POLICY.allows(entry.attempts) {
@@ -1401,8 +1378,8 @@ mod tests {
 
     /// A report blocked by a live partition is retransmitted on the
     /// backoff schedule and lands exactly once after the heal — never
-    /// zero times (the retry straddles the heal) and never twice (the
-    /// emission dedup suppresses late copies).
+    /// zero times (the retry straddles the heal) and never twice (a
+    /// retransmission is queued only after a loss).
     #[test]
     fn retransmission_straddles_a_partition_heal_and_delivers_once() {
         let heal_at = SimTime::from_millis(5);
@@ -1419,7 +1396,7 @@ mod tests {
             ..MarketConfig::default()
         };
         let mut sim = MarketSim::new(cfg);
-        let plane = sim.plane.expect("chaos configured");
+        let plane = sim.plane;
         // Find a cross-partition pair: blocked now, open after the heal.
         let (witness, target) = (0..8u32)
             .flat_map(|a| (0..8u32).map(move |b| (a, b)))
@@ -1447,8 +1424,8 @@ mod tests {
         assert_eq!(sim.community.pending_report_count(), 1);
     }
 
-    /// Wire duplication delivers extra copies of the same emission; the
-    /// `(issuer, emission)` dedup admits exactly one into the model.
+    /// Wire duplication puts extra copies of the same emission on the
+    /// wire; exactly one reaches the model.
     #[test]
     fn duplicated_wire_copies_are_suppressed_by_dedup() {
         let cfg = MarketConfig {

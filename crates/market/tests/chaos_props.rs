@@ -3,8 +3,8 @@
 //! The load-bearing invariant: **no fault mechanism may double-count a
 //! report's feedback effects**. Wire duplication and bounded
 //! retransmission both produce extra copies of an emission on the wire;
-//! the `(issuer, seq)` dedup must make every extra copy invisible to
-//! the trust models — so a run with duplication is *bit-identical* to
+//! each emission must reach the trust models at most once — so a run
+//! with duplication is *bit-identical* to
 //! the same run without it, and a zero-fault plane is bit-identical to
 //! no plane at all, across arbitrary small configurations.
 
@@ -32,9 +32,8 @@ proptest! {
 
     /// Wire duplication (any probability, with loss, a partition and
     /// retransmission active at the same time) never changes the
-    /// report: every duplicate copy of an emission is suppressed by the
-    /// `(issuer, seq)` dedup before it can touch a model, and deciding
-    /// a duplicate consumes no RNG.
+    /// report: a delivered emission reaches its model once however many
+    /// wire copies arrive, and deciding a duplicate consumes no RNG.
     #[test]
     fn duplication_never_duplicates_feedback_effects(
         n_agents in 3usize..30,
@@ -98,8 +97,9 @@ proptest! {
     }
 
     /// Retransmissions never double-count: `witness_delivered` counts
-    /// *unique logical emissions* accepted by a model (the `(issuer,
-    /// seq)` dedup admits each emission at most once), so under any mix
+    /// *unique logical emissions* accepted by a model (a retransmission
+    /// is queued only after a loss, so each emission is delivered at
+    /// most once), so under any mix
     /// of loss, duplication, partitions and aggressive retransmission
     /// the delivered count can never exceed the attempted count — a
     /// double-delivered retry or duplicate would push it past. (Runs

@@ -63,7 +63,8 @@ impl Latency {
 /// Static configuration of a [`Network`].
 ///
 /// Message loss comes only from the [`FaultPlane`] installed with
-/// [`Network::with_fault_plane`].
+/// [`Network::with_fault_plane`]; [`Network::new`] installs the
+/// transparent one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct NetConfig {
     /// One-way latency model.
@@ -105,7 +106,7 @@ pub enum Delivery {
 #[derive(Debug, Clone)]
 pub struct Network {
     cfg: NetConfig,
-    plane: Option<FaultPlane>,
+    plane: FaultPlane,
     /// Monotone per-network message sequence; together with the link
     /// endpoints it keys every fault-plane decision.
     next_seq: u64,
@@ -114,22 +115,21 @@ pub struct Network {
 }
 
 impl Network {
-    /// Creates a lossless network with the given configuration.
+    /// Creates a lossless network (a transparent fault plane) with the
+    /// given configuration.
     pub fn new(cfg: NetConfig) -> Self {
-        Network {
-            cfg,
-            plane: None,
-            next_seq: 0,
-            sent: BTreeMap::new(),
-            dropped: BTreeMap::new(),
-        }
+        Network::with_fault_plane(cfg, FaultPlane::transparent(0))
     }
 
     /// Creates a network whose sends pass through a fault plane.
     pub fn with_fault_plane(cfg: NetConfig, plane: FaultPlane) -> Self {
-        let mut net = Network::new(cfg);
-        net.plane = Some(plane);
-        net
+        Network {
+            cfg,
+            plane,
+            next_seq: 0,
+            sent: BTreeMap::new(),
+            dropped: BTreeMap::new(),
+        }
     }
 
     /// Messages assigned a fault-plane sequence number so far.
@@ -140,10 +140,10 @@ impl Network {
     /// Attempts to send a message of `kind` on the link `src → dst` at
     /// virtual time `at`, returning its fate.
     ///
-    /// Every call counts as one sent message of `kind` and draws one base
-    /// latency. Without a fault plane every message is delivered. With a
-    /// plane, each call consumes one monotone sequence number and the
-    /// plane's pure `(seed, src, dst, seq)` decision is layered on top:
+    /// Every call counts as one sent message of `kind`, draws one base
+    /// latency and consumes one monotone sequence number. The fault
+    /// plane's pure `(seed, src, dst, seq)` decision is layered on top
+    /// (the transparent plane delivers everything exactly once):
     ///
     /// * `Lost`/`Blocked` count as a drop of `kind`;
     /// * injected duplicates count as extra sent messages of `kind`
@@ -159,12 +159,9 @@ impl Network {
     ) -> Delivery {
         *self.sent.entry(kind).or_insert(0) += 1;
         let base = self.cfg.latency.sample(rng);
-        let Some(plane) = self.plane else {
-            return Delivery::Delivered(base);
-        };
         let seq = self.next_seq;
         self.next_seq += 1;
-        match plane.decide(src.0, dst.0, seq, at) {
+        match self.plane.decide(src.0, dst.0, seq, at) {
             FaultFate::Lost | FaultFate::Blocked => {
                 *self.dropped.entry(kind).or_insert(0) += 1;
                 Delivery::Dropped
@@ -280,8 +277,8 @@ mod tests {
         assert_eq!(net.total_dropped(), 0);
     }
 
-    /// Without a plane every send is delivered after exactly one base
-    /// latency draw, and no fault-plane sequence number is consumed.
+    /// Without an explicit plane every send is delivered after exactly
+    /// one base latency draw, and each consumes one sequence number.
     #[test]
     fn no_plane_draws_one_latency_per_send() {
         let latency = Latency { lo: 100, hi: 900 };
@@ -294,11 +291,11 @@ mod tests {
         }
         assert_eq!(rng.next_u64(), reference.next_u64(), "RNG streams diverged");
         assert_eq!((net.sent("q"), net.dropped("q")), (500, 0));
-        assert_eq!(net.link_messages(), 0, "no plane, no sequence numbers");
+        assert_eq!(net.link_messages(), 500, "one sequence number per send");
     }
 
-    /// A transparent plane is invisible: same fates, counters and RNG
-    /// stream as no plane at all.
+    /// A transparent plane is invisible whatever its seed: same fates,
+    /// counters and RNG stream as the default network's.
     #[test]
     fn transparent_plane_matches_no_plane() {
         let cfg = NetConfig {

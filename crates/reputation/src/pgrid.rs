@@ -179,6 +179,45 @@ fn link_salt(from: usize, to: usize) -> u64 {
     ((from as u64) << 32) | (to as u64 & 0xFFFF_FFFF)
 }
 
+/// Sends one `kind` message from `from` with optional bounded retry;
+/// `dest(attempt)` names the receiver of each attempt (0 first). After
+/// a drop the sender waits the policy's timeout, which advances the
+/// send time of the next attempt. Returns the receiver that got the
+/// message and the total wait (accrued timeouts + final delivery), or
+/// `None` when `retry` is unset or its attempt budget runs out.
+fn send_with_retry(
+    kind: &'static str,
+    from: usize,
+    at: SimTime,
+    retry: Option<&RetryPolicy>,
+    net: &mut Network,
+    rng: &mut SimRng,
+    mut dest: impl FnMut(u32) -> usize,
+) -> Option<(usize, SimTime)> {
+    let mut waited = SimTime::ZERO;
+    let mut attempts = 0u32;
+    loop {
+        let to = dest(attempts);
+        match net.send_link(
+            kind,
+            NodeId(from as u32),
+            NodeId(to as u32),
+            at + waited,
+            rng,
+        ) {
+            Delivery::Delivered(d) => return Some((to, waited + d)),
+            Delivery::Dropped => {
+                attempts += 1;
+                let policy = retry?;
+                if !policy.allows(attempts) {
+                    return None;
+                }
+                waited += policy.timeout(attempts, link_salt(from, to));
+            }
+        }
+    }
+}
+
 /// Receipt for an insert: how it travelled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InsertReceipt {
@@ -688,35 +727,24 @@ impl PGrid {
                 return None; // dead end: no live reference at this level
             }
             let pick = rng.index(live);
-            let mut attempts = 0u32;
-            let next = loop {
-                let candidate = bucket
-                    .iter()
-                    .filter(|e| up(e.peer as usize))
-                    .nth((pick + attempts as usize) % live)
-                    .expect("picked within the live count")
-                    .peer as usize;
-                match net.send_link(
-                    "route",
-                    NodeId(current as u32),
-                    NodeId(candidate as u32),
-                    start + latency,
-                    rng,
-                ) {
-                    Delivery::Delivered(d) => {
-                        latency += d;
-                        break candidate;
-                    }
-                    Delivery::Dropped => {
-                        attempts += 1;
-                        let policy = retry?;
-                        if !policy.allows(attempts) {
-                            return None;
-                        }
-                        latency += policy.timeout(attempts, link_salt(current, candidate));
-                    }
-                }
-            };
+            // Each retry fails over to the next live reference.
+            let (next, waited) = send_with_retry(
+                "route",
+                current,
+                start + latency,
+                retry,
+                net,
+                rng,
+                |attempt| {
+                    bucket
+                        .iter()
+                        .filter(|e| up(e.peer as usize))
+                        .nth((pick + attempt as usize) % live)
+                        .expect("picked within the live count")
+                        .peer as usize
+                },
+            )?;
+            latency += waited;
             hops += 1;
             if hops > hop_limit {
                 return None; // defensive: reference-table inconsistency
@@ -735,43 +763,6 @@ impl PGrid {
         let mut group = self.responsible_peers(key);
         group.retain(|&i| up(i));
         group
-    }
-
-    /// One replica fan-out message with optional bounded retry; returns
-    /// the member's total wait (accrued timeouts + final delivery) or
-    /// `None` when the attempt budget is exhausted.
-    #[allow(clippy::too_many_arguments)]
-    fn fanout_send(
-        &self,
-        kind: &'static str,
-        from: usize,
-        to: usize,
-        at: SimTime,
-        retry: Option<&RetryPolicy>,
-        net: &mut Network,
-        rng: &mut SimRng,
-    ) -> Option<SimTime> {
-        let mut waited = SimTime::ZERO;
-        let mut attempts = 0u32;
-        loop {
-            match net.send_link(
-                kind,
-                NodeId(from as u32),
-                NodeId(to as u32),
-                at + waited,
-                rng,
-            ) {
-                Delivery::Delivered(d) => return Some(waited + d),
-                Delivery::Dropped => {
-                    attempts += 1;
-                    let policy = retry?;
-                    if !policy.allows(attempts) {
-                        return None;
-                    }
-                    waited += policy.timeout(attempts, link_salt(from, to));
-                }
-            }
-        }
     }
 
     /// Inserts a complaint under `key`: routes to a responsible replica,
@@ -817,16 +808,16 @@ impl PGrid {
         let mut max_extra = SimTime::ZERO;
         for member in group {
             if member != landing {
-                match self.fanout_send(
+                match send_with_retry(
                     "replicate",
                     landing,
-                    member,
                     start + latency,
                     retry,
                     net,
                     rng,
+                    |_| member,
                 ) {
-                    Some(d) => max_extra = max_extra.max(d),
+                    Some((_, d)) => max_extra = max_extra.max(d),
                     None => continue,
                 }
             }
@@ -880,16 +871,16 @@ impl PGrid {
         let mut max_extra = SimTime::ZERO;
         for member in self.replica_group_for_key(key, alive) {
             if member != landing {
-                match self.fanout_send(
+                match send_with_retry(
                     "replica_query",
                     landing,
-                    member,
                     start + latency,
                     retry,
                     net,
                     rng,
+                    |_| member,
                 ) {
-                    Some(d) => max_extra = max_extra.max(d),
+                    Some((_, d)) => max_extra = max_extra.max(d),
                     None => continue,
                 }
             }
@@ -2042,6 +2033,105 @@ mod tests {
         assert_eq!(a.subtree, b.subtree);
         assert_eq!(a.stores, b.stores);
         assert_eq!(a.clock, b.clock);
+    }
+
+    /// Pins the retry path end to end: staggered inserts and queries
+    /// through a lossy, duplicating plane whose bisect partition heals
+    /// halfway through the sequence, with the standard retry policy.
+    /// Routing fails over between live references and fan-out retries
+    /// its fixed member; every count, sum and answer below is exact.
+    #[test]
+    fn retry_with_failover_through_a_healing_partition_is_pinned() {
+        use trustex_netsim::fault::{FaultConfig, FaultPlane, PartitionSpec};
+        let (mut g, mut rng, _) = grid(128, 5, 0x5E7);
+        let plane = FaultPlane::new(
+            0x9E7,
+            FaultConfig {
+                loss: 0.5,
+                duplicate: 0.1,
+                extra_delay_max_us: 300,
+                partition: PartitionSpec::Bisect {
+                    heal_at: SimTime::from_millis(60),
+                },
+            },
+        );
+        let mut net = Network::with_fault_plane(NetConfig::default(), plane);
+        let policy = RetryPolicy::standard();
+        let w = g.config().key_bits;
+        let (mut hops, mut latency_us, mut reached) = (0u64, 0u64, 0usize);
+        let mut answers = Vec::new();
+        for op in 0..40u32 {
+            let start = SimTime::from_millis(u64::from(op) * 3);
+            // Each query reads the key the insert just before it wrote.
+            let subject = PeerId(op / 2 % 7);
+            let key = crate::record::key_for_peer(subject, w);
+            let origin = (op as usize * 37) % g.len();
+            if op % 2 == 0 {
+                let item = Complaint {
+                    by: PeerId(op + 100),
+                    about: subject,
+                    round: u64::from(op),
+                };
+                let r = g.insert_at(
+                    origin,
+                    key,
+                    item,
+                    None,
+                    &mut net,
+                    &mut rng,
+                    start,
+                    Some(&policy),
+                );
+                hops += u64::from(r.hops);
+                latency_us += r.latency.as_micros();
+                reached += r.replicas_reached;
+            } else {
+                let r = g.query_at(origin, key, None, &mut net, &mut rng, start, Some(&policy));
+                hops += u64::from(r.hops);
+                latency_us += r.latency.as_micros();
+                answers.push(
+                    r.answers
+                        .iter()
+                        .map(|(member, items)| (*member, items.len()))
+                        .collect::<Vec<_>>(),
+                );
+            }
+        }
+        let counts: Vec<(u64, u64)> = ["route", "replicate", "replica_query"]
+            .iter()
+            .map(|k| (net.sent(k), net.dropped(k)))
+            .collect();
+        assert_eq!(
+            counts,
+            [(259, 144), (140, 81), (125, 61)],
+            "(sent, dropped) per kind"
+        );
+        assert_eq!((hops, latency_us, reached), (97, 3_067_522, 69));
+        // (member, items) per query; the first query's route exhausted
+        // its budget, and some fan-out probes did too.
+        let expected: [&[(usize, usize)]; 20] = [
+            &[],
+            &[(1, 0), (37, 1), (59, 1), (70, 1)],
+            &[(7, 1), (42, 1), (122, 1), (124, 1)],
+            &[(92, 1), (114, 1), (115, 1)],
+            &[(0, 0), (92, 0), (114, 0), (115, 0)],
+            &[(27, 1), (32, 1), (65, 1), (101, 1)],
+            &[(10, 1), (20, 1), (96, 1), (126, 1)],
+            &[(2, 2), (16, 2), (51, 2), (75, 2)],
+            &[(1, 1), (37, 2), (59, 2), (70, 2)],
+            &[(7, 2), (42, 2), (122, 2), (124, 2)],
+            &[(0, 2), (92, 2), (114, 2), (115, 2)],
+            &[(0, 1), (92, 1), (114, 1), (115, 1)],
+            &[(27, 1), (32, 1), (65, 1), (101, 1)],
+            &[(10, 1), (20, 2), (96, 2), (126, 2)],
+            &[(2, 3), (16, 3), (51, 3), (75, 3)],
+            &[(1, 1), (37, 3), (59, 3), (70, 3)],
+            &[(7, 3), (42, 3), (122, 3), (124, 3)],
+            &[(0, 3), (92, 3), (114, 3), (115, 3)],
+            &[(0, 2), (92, 2), (114, 2), (115, 2)],
+            &[(27, 2), (32, 2), (65, 2), (101, 2)],
+        ];
+        assert_eq!(answers, expected);
     }
 
     #[test]
